@@ -175,7 +175,7 @@ impl TranConfig {
 
 impl From<&TransientSpec> for TranConfig {
     /// Carries a legacy spec over unchanged (profiling off), so the
-    /// deprecated one-shot entry points reproduce their old numerics.
+    /// compiled engine runs it with the reference engine's numerics.
     fn from(spec: &TransientSpec) -> Self {
         TranConfig {
             t_stop: spec.t_stop,

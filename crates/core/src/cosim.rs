@@ -23,12 +23,13 @@ use analog::source::Pwl;
 use analog::{Circuit, SimError, SourceFn, TranConfig, Waveform};
 use comms::bits::BitStream;
 use comms::lsk::LskDetector;
+use cosim::calibrate::{interp1, probe_all};
 use cosim::fig11::{Fig11CosimSpec, PmuDomain, PORT_I_CHG, PORT_LSK, PORT_VI_ENV, PORT_VO};
 use cosim::{Cosim, Domain, Exchange, Port, SchedulePort};
 pub use cosim::{CosimError, CosimStats, RatePlan};
 use pmu::demodulator::ClockedDemodulator;
 use pmu::V_O_MIN;
-use runtime::{Batch, Pool};
+use runtime::Pool;
 
 /// What a co-simulated run cost, alongside its outcome.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +60,8 @@ impl Fig11Scenario {
         }
     }
 
-    /// Runs the scenario through the partitioned multi-rate engine.
+    /// Runs the scenario through the partitioned multi-rate engine,
+    /// calibrating the link surrogate on `pool`.
     ///
     /// # Errors
     ///
@@ -148,23 +150,9 @@ impl ChainTable {
         let grid_shorted = vec![0.0, 1.5, 3.0];
         let jobs: Vec<(Vec<f64>, bool)> =
             vec![(grid_connected, false), (grid_shorted, true)];
-        let batch = Batch::builder("cosim-chain-calibrate").seed(0).trials(jobs.len()).build();
-        let run = pool.run(&batch, |ctx| {
-            let (grid, shorted) = &jobs[ctx.index];
+        let mut rows = probe_all(pool, "cosim-chain-calibrate", "link", &jobs, |(grid, shorted)| {
             chain_probe(scenario, grid, *shorted)
-        });
-        let mut rows: Vec<ChainRow> = Vec::with_capacity(jobs.len());
-        for result in run.results {
-            match result.outcome {
-                runtime::JobOutcome::Ok(Ok(row)) => rows.push(row),
-                runtime::JobOutcome::Ok(Err(e)) => {
-                    return Err(CosimError::Domain { domain: "link", source: e })
-                }
-                runtime::JobOutcome::Panicked(message) => {
-                    return Err(CosimError::Panicked { domain: "link".to_string(), message })
-                }
-            }
-        }
+        })?;
         let shorted = rows.pop().expect("two probe rows");
         let connected = rows.pop().expect("two probe rows");
         Ok(ChainTable { connected, shorted, probes: jobs.len() as u64 })
@@ -231,20 +219,6 @@ fn chain_probe(
     Ok(row)
 }
 
-fn interp1(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    if x <= xs[0] {
-        return ys[0];
-    }
-    if let Some(&last) = xs.last() {
-        if x >= last {
-            return ys[ys.len() - 1];
-        }
-    }
-    let j = xs.partition_point(|&v| v < x).clamp(1, xs.len() - 1);
-    let w = (x - xs[j - 1]) / (xs[j] - xs[j - 1]);
-    ys[j - 1] + w * (ys[j] - ys[j - 1])
-}
-
 /// The patch + link + rectifier front-end of the full chain as an
 /// envelope-rate table domain: reads the storage voltage and the LSK
 /// state, emits charging current and input envelope.
@@ -254,10 +228,6 @@ struct ChainLinkDomain {
 }
 
 impl Domain for ChainLinkDomain {
-    fn name(&self) -> &'static str {
-        "link"
-    }
-
     fn advance(&self, t0: f64, t1: f64, bus: &Exchange) -> Result<Vec<Port>, CosimError> {
         let vo_buf = bus.reader(PORT_VO)?;
         let lsk_buf = bus.reader(PORT_LSK)?;
@@ -354,11 +324,12 @@ impl FullChainScenario {
     /// Runs the chain through the partitioned multi-rate engine.
     ///
     /// Two staircase probes calibrate the front-end (connected and
-    /// LSK-shorted), then the storage dynamics integrate at envelope
-    /// rate under waveform relaxation. Supply power is reconstructed
-    /// from the committed storage/LSK waveforms through the same table,
-    /// and patch-side uplink detection runs on that reconstruction just
-    /// as the monolithic run slices its supply-current sense.
+    /// LSK-shorted) on `pool`, then the storage dynamics integrate at
+    /// envelope rate under waveform relaxation. Supply power is
+    /// reconstructed from the committed storage/LSK waveforms through
+    /// the same table, and patch-side uplink detection runs on that
+    /// reconstruction just as the monolithic run slices its
+    /// supply-current sense.
     ///
     /// # Errors
     ///
@@ -366,11 +337,7 @@ impl FullChainScenario {
     /// [`CosimError`].
     pub fn run_cosim(&self, pool: &Pool) -> Result<FullChainCosimOutcome, CosimError> {
         let _span = obs::span!("fullchain.cosim");
-        // The chain charges hardest in the very first windows (vo ≈ 0,
-        // small effective source resistance), where relaxation contracts
-        // slowest — give it more headroom than the Fig. 11 default.
-        let mut plan = RatePlan::fig11();
-        plan.max_iterations = 32;
+        let plan = RatePlan::fig11();
         let period = 1.0 / self.design.frequency;
         let t_stop = self.cycles as f64 * period;
         let table = ChainTable::calibrate(self, pool)?;
@@ -379,7 +346,7 @@ impl FullChainScenario {
             lsk_schedule(bits, *start, *rate)
         });
 
-        let mut sim = Cosim::new(plan, 0xC051_FC11);
+        let mut sim = Cosim::new(plan);
         sim.seed_port(PORT_VI_ENV, 0.0, 0.0, 1.0);
         sim.seed_port(PORT_I_CHG, 0.0, 0.0, 1.0 / MATCH_R_OHMS);
         sim.seed_port(PORT_VO, 0.0, 0.0, 1.0);
@@ -397,7 +364,7 @@ impl FullChainScenario {
         if let Some(wave) = schedule.clone() {
             sim.add_domain(Box::new(SchedulePort::new(PORT_LSK, wave, plan.envelope_dt)));
         }
-        let stats = sim.run(pool, 0.0, t_stop)?;
+        let stats = sim.run(0.0, t_stop)?;
 
         let vo = sim.bus().waveform(PORT_VO).expect("vo committed");
         let vi_env = sim.bus().waveform(PORT_VI_ENV).expect("vi committed");

@@ -6,21 +6,19 @@ use crate::exchange::{Exchange, Port};
 
 /// One co-simulated domain.
 ///
-/// The scheduler runs a Jacobi-style waveform relaxation: every
-/// iteration, each domain [`advance`](Domain::advance)s over the same
-/// macro-step reading only the *previous* iterate's bus snapshot, so
-/// the proposals are independent of evaluation order and worker count.
-/// Once the boundary residual converges, the scheduler commits the
-/// window to the bus and calls [`commit`](Domain::commit) so the domain
-/// can roll its internal state forward from the converged inputs.
+/// The scheduler runs a Gauss–Seidel waveform relaxation: every
+/// iteration, each domain in turn [`advance`](Domain::advance)s over
+/// the same macro-step reading the live bus — committed history plus
+/// the latest proposal of every port, including the ones earlier
+/// domains made this iteration. Once the boundary residual converges,
+/// the scheduler settles the window into committed history and calls
+/// [`commit`](Domain::commit) so the domain can roll its internal state
+/// forward from the converged inputs.
 ///
 /// `advance` must therefore be a pure function of the committed state
-/// and the snapshot — same inputs, bit-identical proposals — and must
-/// not mutate anything observable before `commit`.
-pub trait Domain: Sync {
-    /// Stable domain name (used in errors and stats).
-    fn name(&self) -> &'static str;
-
+/// and the bus, and must not mutate anything observable before
+/// `commit`.
+pub trait Domain {
     /// Proposes boundary outputs over `[t0, t1]` from the committed
     /// state, reading coupled inputs from `bus`.
     ///

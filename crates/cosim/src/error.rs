@@ -29,9 +29,12 @@ pub enum CosimError {
     MissingPort(String),
     /// The rate plan is unusable (non-positive steps, zero iterations).
     InvalidPlan(String),
-    /// A domain panicked inside the pool; the payload is preserved.
+    /// A calibration probe panicked on the pool; the payload is
+    /// preserved. Only calibration raises this: the relaxation loop
+    /// runs on the caller's thread, so a panicking domain unwinds to
+    /// the request's own pool job, which turns it into an error there.
     Panicked {
-        /// Which domain panicked.
+        /// Which domain's calibration panicked.
         domain: String,
         /// The panic message.
         message: String,

@@ -12,13 +12,16 @@
 //! and run for a handful of carrier periods; the trailing periods give
 //! the cycle-averaged pin current and input peak. A second, smaller
 //! family of probes characterises the LSK-shorted state (M1 on, M2
-//! off). The probes run concurrently on the pool and are the only
-//! carrier-rate work in a co-simulation — everything after is
-//! envelope-rate, which is where the speedup comes from.
+//! off). The probes run concurrently on the pool
+//! ([`probe_all`]) and are the only carrier-rate work in a
+//! co-simulation — everything after is envelope-rate, which is where
+//! the speedup comes from.
 
+use crate::calibrate::{interp1, probe_all};
 use crate::domain::Domain;
 use crate::error::CosimError;
 use crate::exchange::{Exchange, Port};
+use crate::schedule::SchedulePort;
 use crate::scheduler::{Cosim, CosimStats, RatePlan};
 use analog::source::Pwl;
 use analog::{Circuit, SourceFn, TranConfig, Waveform};
@@ -27,7 +30,7 @@ use comms::bits::BitStream;
 use pmu::demodulator::{ClockedDemodulator, TwoPhaseClock};
 use pmu::rectifier::RectifierCircuit;
 use pmu::V_CLAMP;
-use runtime::{Batch, Pool};
+use runtime::Pool;
 
 /// Bus port: carrier-envelope peak at the rectifier input, volts.
 pub const PORT_VI_ENV: &str = "vi_env";
@@ -113,20 +116,6 @@ pub struct RectifierTable {
     pub probes: u64,
 }
 
-/// Clamped linear interpolation on a sorted grid.
-fn interp1(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    let n = xs.len();
-    if x <= xs[0] {
-        return ys[0];
-    }
-    if x >= xs[n - 1] {
-        return ys[n - 1];
-    }
-    let hi = xs.partition_point(|&g| g <= x);
-    let w = (x - xs[hi - 1]) / (xs[hi] - xs[hi - 1]);
-    ys[hi - 1] + w * (ys[hi] - ys[hi - 1])
-}
-
 impl RectifierTable {
     /// Interpolated `(i_chg, v̂i)` for the connected rectifier at drive
     /// amplitude `amp` and storage voltage `vo`. Clamped to the probed
@@ -191,24 +180,9 @@ impl RectifierTable {
         for &vo in &grid_short {
             points.push((ask.amplitude_idle, vo, true));
         }
-        let batch =
-            Batch::builder("cosim-calibrate").seed(0).trials(points.len()).build();
-        let run = pool.run(&batch, |ctx| {
-            let (amp, vo, short) = points[ctx.index];
+        let measured = probe_all(pool, "cosim-calibrate", "link", &points, |&(amp, vo, short)| {
             probe(spec, ask.carrier_hz, amp, vo, short)
-        });
-        let mut measured: Vec<(f64, f64)> = Vec::with_capacity(points.len());
-        for result in run.results {
-            match result.outcome {
-                runtime::JobOutcome::Ok(Ok(m)) => measured.push(m),
-                runtime::JobOutcome::Ok(Err(e)) => {
-                    return Err(CosimError::Domain { domain: "link", source: e })
-                }
-                runtime::JobOutcome::Panicked(message) => {
-                    return Err(CosimError::Panicked { domain: "link".to_string(), message })
-                }
-            }
-        }
+        })?;
         let take = |grid: &[f64], offset: usize| AmpRow {
             amp: points[offset].0,
             vo: grid.to_vec(),
@@ -305,10 +279,6 @@ impl LinkDomain {
 }
 
 impl Domain for LinkDomain {
-    fn name(&self) -> &'static str {
-        "link"
-    }
-
     fn advance(&self, t0: f64, t1: f64, bus: &Exchange) -> Result<Vec<Port>, CosimError> {
         let vo_buf = bus.reader(PORT_VO)?;
         let lsk_buf = bus.reader(PORT_LSK)?;
@@ -352,10 +322,6 @@ impl PmuDomain {
 }
 
 impl Domain for PmuDomain {
-    fn name(&self) -> &'static str {
-        "pmu"
-    }
-
     fn advance(&self, t0: f64, t1: f64, bus: &Exchange) -> Result<Vec<Port>, CosimError> {
         let ib = bus.reader(PORT_I_CHG)?;
         let (n, h) = grid(t0, t1, self.dt);
@@ -382,15 +348,34 @@ impl Domain for PmuDomain {
     }
 }
 
-/// Bit-rate comms: demodulation decisions at the ϕ1 clock edges and the
-/// LSK shorting schedule.
+/// The uplink LSK shorting schedule (0/1): M1 shorts the rectifier
+/// input for every 0 uplink bit, with [`STEP_EPS`]-wide edges.
+fn lsk_schedule(spec: &Fig11CosimSpec) -> Pwl {
+    let tb = 1.0 / spec.uplink_rate;
+    let mut pts: Vec<(f64, f64)> = vec![(0.0, 0.0)];
+    let mut level = 0.0;
+    for (k, bit) in spec.uplink_bits.iter().enumerate() {
+        let want = if bit { 0.0 } else { 1.0 };
+        if want != level {
+            let t = spec.uplink_start + k as f64 * tb;
+            pts.push((t - STEP_EPS, level));
+            pts.push((t, want));
+            level = want;
+        }
+    }
+    if level != 0.0 {
+        let t = spec.uplink_start + spec.uplink_bits.len() as f64 * tb;
+        pts.push((t - STEP_EPS, level));
+        pts.push((t, 0.0));
+    }
+    Pwl::new(pts)
+}
+
+/// Bit-rate comms: demodulation decisions at the ϕ1 clock edges.
 pub struct CommsDomain {
     demod: ClockedDemodulator,
     /// ϕ1 decision edges, one per downlink bit.
     edges: Vec<f64>,
-    /// The uplink shorting waveform (0/1).
-    lsk: Pwl,
-    dt: f64,
     /// Demodulator output level after the last committed window.
     vdem_level: f64,
     /// Edges decided by committed windows.
@@ -400,8 +385,8 @@ pub struct CommsDomain {
 }
 
 impl CommsDomain {
-    /// A comms domain for the spec's downlink/uplink schedule.
-    pub fn new(spec: &Fig11CosimSpec, plan: &RatePlan) -> Self {
+    /// A comms domain for the spec's downlink schedule.
+    pub fn new(spec: &Fig11CosimSpec) -> Self {
         let mut demod = spec.demodulator;
         demod.clock = TwoPhaseClock::ironic().delayed(spec.downlink_start + CLOCK_ALIGN);
         let edges: Vec<f64> = demod
@@ -410,33 +395,7 @@ impl CommsDomain {
             .into_iter()
             .take(spec.downlink_bits.len())
             .collect();
-        // LSK schedule: M1 shorts the input for every 0 uplink bit.
-        let tb = 1.0 / spec.uplink_rate;
-        let mut pts: Vec<(f64, f64)> = vec![(0.0, 0.0)];
-        let mut level = 0.0;
-        for (k, bit) in spec.uplink_bits.iter().enumerate() {
-            let want = if bit { 0.0 } else { 1.0 };
-            if want != level {
-                let t = spec.uplink_start + k as f64 * tb;
-                pts.push((t - STEP_EPS, level));
-                pts.push((t, want));
-                level = want;
-            }
-        }
-        if level != 0.0 {
-            let t = spec.uplink_start + spec.uplink_bits.len() as f64 * tb;
-            pts.push((t - STEP_EPS, level));
-            pts.push((t, 0.0));
-        }
-        CommsDomain {
-            demod,
-            edges,
-            lsk: Pwl::new(pts),
-            dt: plan.envelope_dt,
-            vdem_level: 0.0,
-            decided: 0,
-            decoded: BitStream::new(),
-        }
+        CommsDomain { demod, edges, vdem_level: 0.0, decided: 0, decoded: BitStream::new() }
     }
 
     /// The downlink bits decided so far (complete once the run ends).
@@ -469,25 +428,9 @@ impl CommsDomain {
         Ok(out)
     }
 
-    /// The LSK and Vdem step waveforms over `(t0, t1]`.
-    fn render(
-        &self,
-        t0: f64,
-        t1: f64,
-        decisions: &[(f64, f64)],
-    ) -> (Port, Port) {
-        // LSK: envelope-rate samples plus the exact corner times, so
-        // consumers see crisp transitions wherever they sample.
-        let (n, h) = grid(t0, t1, self.dt);
-        let mut times: Vec<f64> = (1..=n).map(|k| grid_time(t0, t1, h, k, n)).collect();
-        times.extend(self.lsk.corner_times().filter(|&t| t > t0 && t < t1));
-        times.sort_by(f64::total_cmp);
-        times.dedup();
-        let mut p_lsk = Port::new(PORT_LSK);
-        for &t in &times {
-            p_lsk.push(t, self.lsk.eval(t));
-        }
-        // Vdem: steps at the decision times, held in between.
+    /// The Vdem step waveform over `(t0, t1]`: steps at the decision
+    /// times, held in between.
+    fn render(&self, t0: f64, t1: f64, decisions: &[(f64, f64)]) -> Port {
         let mut p_vdem = Port::new(PORT_VDEM);
         let mut level = self.vdem_level;
         for &(d, value) in decisions {
@@ -507,19 +450,14 @@ impl CommsDomain {
         if p_vdem.times.last().is_none_or(|&t| t < t1) {
             p_vdem.push(t1, level);
         }
-        (p_lsk, p_vdem)
+        p_vdem
     }
 }
 
 impl Domain for CommsDomain {
-    fn name(&self) -> &'static str {
-        "comms"
-    }
-
     fn advance(&self, t0: f64, t1: f64, bus: &Exchange) -> Result<Vec<Port>, CosimError> {
         let decisions = self.decisions(t0, t1, bus)?;
-        let (p_lsk, p_vdem) = self.render(t0, t1, &decisions);
-        Ok(vec![p_lsk, p_vdem])
+        Ok(vec![self.render(t0, t1, &decisions)])
     }
 
     fn commit(&mut self, t0: f64, t1: f64, bus: &Exchange) -> Result<(), CosimError> {
@@ -550,7 +488,7 @@ pub struct Fig11CosimRun {
     pub probes: u64,
 }
 
-/// Runs the partitioned Fig. 11 co-simulation on `pool`.
+/// Runs the partitioned Fig. 11 co-simulation, calibrating on `pool`.
 ///
 /// # Errors
 ///
@@ -568,7 +506,7 @@ pub fn run_fig11(
     let envelope = spec.ask().envelope(&spec.downlink_bits, spec.downlink_start);
     let v0 = spec.rectifier.co_initial.clamp(0.0, V_CLAMP);
 
-    let mut cosim = Cosim::new(*plan, 0xC051_4011);
+    let mut cosim = Cosim::new(*plan);
     cosim.seed_port(PORT_VI_ENV, 0.0, 0.0, 1.0);
     // A converged ampere error should mean the same voltage error
     // everywhere: scale the current port by the source conductance.
@@ -583,9 +521,10 @@ pub fn run_fig11(
         v0,
         plan,
     )));
-    cosim.add_domain(Box::new(CommsDomain::new(spec, plan)));
+    cosim.add_domain(Box::new(CommsDomain::new(spec)));
+    cosim.add_domain(Box::new(SchedulePort::new(PORT_LSK, lsk_schedule(spec), plan.envelope_dt)));
 
-    let stats = cosim.run(pool, 0.0, spec.t_stop)?;
+    let stats = cosim.run(0.0, spec.t_stop)?;
     let bus = cosim.bus();
     let vo = bus.waveform(PORT_VO).expect("vo port seeded");
     let vi_env = bus.waveform(PORT_VI_ENV).expect("vi_env port seeded");
@@ -673,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn comms_renders_lsk_schedule_and_defers_partial_edges() {
+    fn uplink_schedule_shorts_zero_bits_and_comms_defers_partial_edges() {
         let spec = Fig11CosimSpec {
             rectifier: RectifierCircuit::ironic(),
             demodulator: ClockedDemodulator::ironic(),
@@ -688,13 +627,15 @@ mod tests {
             t_stop: 100.0e-6,
             max_step: 10.0e-9,
         };
-        let plan = RatePlan::fig11();
-        let comms = CommsDomain::new(&spec, &plan);
+        let uplink =
+            SchedulePort::new(PORT_LSK, lsk_schedule(&spec), RatePlan::fig11().envelope_dt);
+        let comms = CommsDomain::new(&spec);
         let mut bus = Exchange::new();
         bus.seed(PORT_VI_ENV, 0.0, 3.9, 1.0);
         // The 0 bit shorts [70 µs, 80 µs): sample inside and outside.
-        let ports = comms.advance(68.0e-6, 72.0e-6, &bus).unwrap();
+        let ports = uplink.advance(68.0e-6, 72.0e-6, &bus).unwrap();
         let lsk = &ports[0];
+        assert_eq!(lsk.name, PORT_LSK);
         let at = |t: f64| {
             let i = lsk.times.iter().position(|&x| (x - t).abs() < 1e-12).unwrap();
             lsk.values[i]

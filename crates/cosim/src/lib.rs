@@ -10,21 +10,23 @@
 //!   to an envelope-rate surrogate calibrated by short carrier-rate
 //!   probes of the real transistor netlist (see [`fig11::RectifierTable`]);
 //! * **pmu** — the storage capacitor and load, an envelope-rate ODE;
-//! * **comms** — bit-rate demodulation decisions and the uplink LSK
-//!   shorting schedule.
+//! * **comms** — bit-rate demodulation decisions;
+//! * **schedule ports** — pure functions of time such as the uplink LSK
+//!   shorting schedule (see [`SchedulePort`]).
 //!
 //! Domains exchange boundary waveforms (carrier envelope and charging
 //! current out of the link, storage voltage back from the PMU,
-//! demodulator output and LSK state from comms) over an [`Exchange`]
-//! bus, reconciled by a bounded Jacobi waveform-relaxation loop per
-//! macro-step (see [`Cosim`]). Because every relaxation iteration reads
-//! one immutable bus snapshot, results are bit-identical at any
-//! `IMPLANT_WORKERS` while the per-domain probes and advances still run
-//! concurrently on [`runtime::Pool`].
+//! demodulator output from comms, the LSK state from its schedule)
+//! over an [`Exchange`] bus, reconciled by a bounded
+//! Gauss–Seidel waveform-relaxation loop per macro-step (see [`Cosim`]).
+//! The loop is serial, so results are bit-identical at any
+//! `IMPLANT_WORKERS`; [`runtime::Pool`] runs only the independent
+//! calibration probes ([`calibrate::probe_all`]).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod calibrate;
 pub mod domain;
 pub mod error;
 pub mod exchange;

@@ -29,10 +29,6 @@ impl SchedulePort {
 }
 
 impl Domain for SchedulePort {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn advance(&self, t0: f64, t1: f64, _bus: &Exchange) -> Result<Vec<Port>, CosimError> {
         let n = (((t1 - t0) / self.dt) - 1.0e-9).ceil().max(1.0) as usize;
         let h = (t1 - t0) / n as f64;

@@ -1,19 +1,17 @@
-//! The macro-step scheduler: bounded waveform relaxation over a pool.
+//! The macro-step scheduler: bounded Gauss–Seidel waveform relaxation.
 //!
 //! # Determinism
 //!
-//! Each relaxation iteration evaluates every domain against the *same*
-//! immutable bus snapshot (Jacobi, not Gauss–Seidel), so the proposals
-//! are independent of which worker ran which domain and in what order.
-//! The pool returns results in submission order, commits happen in
-//! fixed domain order, and no domain sees a partially updated bus —
-//! which is the whole determinism argument: a co-simulation is
-//! bit-identical at any `IMPLANT_WORKERS`.
+//! Each relaxation iteration sweeps the domains serially, in the order
+//! they were added, each reading the live bus its predecessors have
+//! just proposed into. Nothing in the loop depends on threads or
+//! scheduling, so a co-simulation is bit-identical at any
+//! `IMPLANT_WORKERS`; the worker count reaches only the calibration
+//! probes (see [`crate::calibrate`]), which return in submission order.
 
 use crate::domain::Domain;
 use crate::error::CosimError;
-use crate::exchange::{Exchange, Port};
-use runtime::{Batch, Pool};
+use crate::exchange::Exchange;
 
 /// Rates and relaxation bounds of a co-simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,19 +94,17 @@ pub struct CosimStats {
 /// A configured co-simulation: domains, bus and rate plan.
 pub struct Cosim {
     plan: RatePlan,
-    seed: u64,
     domains: Vec<Box<dyn Domain>>,
     bus: Exchange,
 }
 
 impl Cosim {
-    /// A co-simulation with no domains yet. The seed names the run for
-    /// pool batching; domain physics never draws from it.
-    pub fn new(plan: RatePlan, seed: u64) -> Self {
-        Cosim { plan, seed, domains: Vec::new(), bus: Exchange::new() }
+    /// A co-simulation with no domains yet.
+    pub fn new(plan: RatePlan) -> Self {
+        Cosim { plan, domains: Vec::new(), bus: Exchange::new() }
     }
 
-    /// Adds a domain. Order fixes commit order (and nothing else).
+    /// Adds a domain. Order fixes the relaxation sweep order.
     pub fn add_domain(&mut self, domain: Box<dyn Domain>) {
         self.domains.push(domain);
     }
@@ -129,8 +125,9 @@ impl Cosim {
     ///
     /// [`CosimError::InvalidPlan`] for a bad plan,
     /// [`CosimError::Diverged`] when a macro-step exhausts its
-    /// iteration guard, plus any domain failure.
-    pub fn run(&mut self, pool: &Pool, t0: f64, t_stop: f64) -> Result<CosimStats, CosimError> {
+    /// iteration guard, plus any domain failure. On error the bus's
+    /// committed history ends where the failed window starts.
+    pub fn run(&mut self, t0: f64, t_stop: f64) -> Result<CosimStats, CosimError> {
         let _span = obs::span!("cosim.run");
         self.plan.validate()?;
         if t_stop.partial_cmp(&t0) != Some(std::cmp::Ordering::Greater) {
@@ -144,10 +141,8 @@ impl Cosim {
         let eps = 1.0e-12 * t_stop.abs().max(1.0);
         while t < t_stop - eps {
             let t1 = (t + self.plan.macro_step).min(t_stop);
-            let accepted = self.relax_window(pool, t, t1, &mut stats)?;
-            for port in &accepted {
-                self.bus.commit(port)?;
-            }
+            self.relax_window(t, t1, &mut stats)?;
+            self.bus.settle();
             for domain in &mut self.domains {
                 domain.commit(t, t1, &self.bus)?;
             }
@@ -157,68 +152,38 @@ impl Cosim {
         Ok(stats)
     }
 
-    /// Relaxes one macro-step to convergence and returns the accepted
-    /// proposals (flattened, in domain order).
-    fn relax_window(
-        &self,
-        pool: &Pool,
-        t0: f64,
-        t1: f64,
-        stats: &mut CosimStats,
-    ) -> Result<Vec<Port>, CosimError> {
+    /// Sweeps the domains over one macro-step until the largest scaled
+    /// residual of any proposal against its previous iterate falls
+    /// under tolerance. The converged proposals are left pending on the
+    /// bus.
+    fn relax_window(&mut self, t0: f64, t1: f64, stats: &mut CosimStats) -> Result<(), CosimError> {
         let _span = obs::span!("cosim.window");
-        let n = self.domains.len();
-        let batch = Batch::builder("cosim-relax").seed(self.seed).trials(n).build();
-        // The snapshot the next iteration reads: committed history plus
-        // the previous iterate's proposals (end-clamped sampling makes
-        // the committed bus itself the constant-extrapolation opener).
-        let mut snapshot = self.bus.clone();
-        let mut step_iterations = 0u64;
         let mut residual = f64::INFINITY;
-        for _ in 0..self.plan.max_iterations {
-            step_iterations += 1;
-            let run = pool.run(&batch, |ctx| {
-                self.domains[ctx.index].advance(t0, t1, &snapshot)
-            });
-            let mut proposals: Vec<Port> = Vec::new();
-            for (index, result) in run.results.into_iter().enumerate() {
-                match result.outcome {
-                    runtime::JobOutcome::Ok(Ok(ports)) => proposals.extend(ports),
-                    runtime::JobOutcome::Ok(Err(e)) => return Err(e),
-                    runtime::JobOutcome::Panicked(message) => {
-                        return Err(CosimError::Panicked {
-                            domain: self.domains[index].name().to_string(),
-                            message,
-                        })
-                    }
+        let mut iterations = 0u64;
+        while iterations < self.plan.max_iterations as u64 {
+            iterations += 1;
+            residual = 0.0;
+            for domain in &self.domains {
+                for port in domain.advance(t0, t1, &self.bus)? {
+                    residual = residual.max(self.bus.propose(&port)?);
                 }
             }
-            residual = 0.0;
-            for port in &proposals {
-                residual = residual.max(snapshot.residual(port)?);
-            }
-            let mut next = self.bus.clone();
-            for port in &proposals {
-                next.commit(port)?;
-            }
-            snapshot = next;
             obs::count!("cosim.iteration");
-            if residual.is_finite() && residual <= self.plan.tolerance {
-                stats.iterations += step_iterations;
-                stats.worst_step_iterations = stats.worst_step_iterations.max(step_iterations);
-                stats.worst_residual = stats.worst_residual.max(residual);
-                return Ok(proposals);
-            }
-            if !residual.is_finite() {
+            if residual <= self.plan.tolerance || !residual.is_finite() {
                 break;
             }
         }
-        stats.iterations += step_iterations;
+        stats.iterations += iterations;
+        if residual <= self.plan.tolerance {
+            stats.worst_step_iterations = stats.worst_step_iterations.max(iterations);
+            stats.worst_residual = stats.worst_residual.max(residual);
+            return Ok(());
+        }
         Err(CosimError::Diverged {
             t: t0,
             residual,
             tolerance: self.plan.tolerance,
-            iterations: step_iterations as usize,
+            iterations: iterations as usize,
         })
     }
 }

@@ -12,7 +12,6 @@
 //! can be checked against exact values rather than against itself.
 
 use cosim::{Cosim, CosimError, Domain, Exchange, ExchangeBuffer, Port, RatePlan};
-use runtime::Pool;
 
 // ---- toy chain ---------------------------------------------------------
 
@@ -24,10 +23,6 @@ struct SourceDomain {
 }
 
 impl Domain for SourceDomain {
-    fn name(&self) -> &'static str {
-        "source"
-    }
-
     fn advance(&self, t0: f64, t1: f64, bus: &Exchange) -> Result<Vec<Port>, CosimError> {
         let v = bus.reader("v")?;
         let n = (((t1 - t0) / self.dt) - 1e-9).ceil().max(1.0) as usize;
@@ -66,10 +61,6 @@ impl StorageDomain {
 }
 
 impl Domain for StorageDomain {
-    fn name(&self) -> &'static str {
-        "storage"
-    }
-
     fn advance(&self, t0: f64, t1: f64, bus: &Exchange) -> Result<Vec<Port>, CosimError> {
         let ib = bus.reader("i")?;
         let n = (((t1 - t0) / self.dt) - 1e-9).ceil().max(1.0) as usize;
@@ -134,8 +125,8 @@ struct Toy {
     t_stop: f64,
 }
 
-fn run_toy(toy: &Toy, plan: RatePlan, pool: &Pool) -> Result<(Cosim, f64), CosimError> {
-    let mut sim = Cosim::new(plan, 0x70_11);
+fn toy_cosim(toy: &Toy, plan: RatePlan) -> Cosim {
+    let mut sim = Cosim::new(plan);
     sim.seed_port("v", 0.0, 0.0, 1.0);
     sim.seed_port("i", 0.0, toy.vs / toy.rs, 1.0 / toy.rs);
     sim.add_domain(Box::new(SourceDomain { vs: toy.vs, rs: toy.rs, dt: plan.envelope_dt }));
@@ -147,7 +138,12 @@ fn run_toy(toy: &Toy, plan: RatePlan, pool: &Pool) -> Result<(Cosim, f64), Cosim
         dt: plan.envelope_dt,
         v: 0.0,
     }));
-    let stats = sim.run(pool, 0.0, toy.t_stop)?;
+    sim
+}
+
+fn run_toy(toy: &Toy, plan: RatePlan) -> Result<(Cosim, f64), CosimError> {
+    let mut sim = toy_cosim(toy, plan);
+    let stats = sim.run(0.0, toy.t_stop)?;
     Ok((sim, stats.worst_step_iterations as f64))
 }
 
@@ -170,7 +166,7 @@ fn interpolation_error_is_second_order_across_rate_ratios() {
         let t = k as f64 * dt_producer;
         port.push(t, amp * f64::sin(omega * t));
     }
-    buf.append(&port);
+    buf.propose(&port);
 
     let bound = amp * (omega * dt_producer).powi(2) / 8.0;
     for ratio in [1u32, 10, 1000] {
@@ -213,8 +209,7 @@ fn relaxation_converges_on_a_stiff_load_step() {
         t_stop: 20.0e-6,
     };
     let plan = RatePlan { macro_step: 1.0e-6, envelope_dt: 0.05e-6, ..RatePlan::fig11() };
-    let pool = Pool::new(2);
-    let (sim, worst_iters) = run_toy(&toy, plan, &pool).expect("stiff step converges");
+    let (sim, worst_iters) = run_toy(&toy, plan).expect("stiff step converges");
     // Relaxation genuinely iterated (the domains are coupled) but never
     // hit the guard.
     assert!(worst_iters >= 2.0, "no relaxation happened");
@@ -259,7 +254,8 @@ fn exhausting_the_iteration_guard_is_a_structured_divergence() {
         tolerance: 1.0e-6,
         max_iterations: 1,
     };
-    let err = match run_toy(&toy, plan, &Pool::new(1)) {
+    let mut sim = toy_cosim(&toy, plan);
+    let err = match sim.run(0.0, toy.t_stop) {
         Err(e) => e,
         Ok(_) => panic!("one iteration should not converge to 1 µV"),
     };
@@ -270,6 +266,10 @@ fn exhausting_the_iteration_guard_is_a_structured_divergence() {
             assert_eq!(iterations, 1);
         }
         other => panic!("expected Diverged, got {other:?}"),
+    }
+    for port in ["i", "v"] {
+        let w = sim.bus().waveform(port).expect("port seeded");
+        assert_eq!(w.time().last(), Some(&0.0), "`{port}` leaked pending samples");
     }
 }
 
@@ -287,7 +287,6 @@ mod fuzz {
     #[test]
     fn random_rate_plans_agree_with_the_closed_form() {
         let mut rng = SplitMix64::new(0xC051_F022);
-        let pool = Pool::new(2);
         for trial in 0..24 {
             let macro_step = 0.2e-6 * f64::powf(20.0, rng.next_f64());
             let envelope_dt = macro_step / (10.0 + 40.0 * rng.next_f64());
@@ -313,7 +312,7 @@ mod fuzz {
                 t_step: macro_step * (8.0 + 4.0 * rng.next_f64()),
                 t_stop: macro_step * 20.0,
             };
-            let (sim, _) = run_toy(&toy, plan, &pool)
+            let (sim, _) = run_toy(&toy, plan)
                 .unwrap_or_else(|e| panic!("trial {trial}: plan {plan:?} failed: {e}"));
             let exact = Analytic {
                 vs: toy.vs,
