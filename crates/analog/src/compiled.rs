@@ -21,12 +21,14 @@
 //!   and skips factorization entirely when the matrix values did not
 //!   change (linear circuits, source-only RHS updates).
 //!
-//! The numerics — companion models, Newton limiting, LTE step control,
-//! breakpoint handling — mirror the reference interpreter in
-//! `crate::engine` line for line; only assembly and linear algebra
-//! differ. Results agree within solver rounding (the pinned pivot
-//! order departs from the reference's per-solve pivot search), which
-//! the equivalence suite bounds tightly.
+//! The DC and transient numerics — companion models, Newton limiting,
+//! LTE step control, breakpoint handling — mirror the dense reference
+//! interpreter (`Circuit::transient_reference`) line for line; only
+//! assembly and linear algebra differ. Results agree within solver
+//! rounding (the pinned pivot order departs from the reference's
+//! per-solve pivot search), which the equivalence suite bounds tightly.
+//! Small-signal AC reuses the same program: the Jacobian at the
+//! operating point plus `jω` times the reactive template.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -34,8 +36,10 @@ use std::time::Instant;
 use crate::analysis::{
     AcResult, AcSpec, DcSweepResult, Integration, OpPoint, TranConfig, TransientResult,
 };
+use crate::complex::Complex;
 use crate::device::{fetlim, limvds, pnjlim, DiodeModel, MosModel, MosPolarity, SwitchModel};
 use crate::error::SimError;
+use crate::linalg::Matrix;
 use crate::netlist::{Circuit, DeviceKind, NodeId};
 use crate::source::SourceFn;
 use crate::sparse::{CsrPattern, LuStats, PatternBuilder, RefactorHint, SparseLu};
@@ -79,6 +83,8 @@ struct SrcInstr {
     /// Device index in the circuit (dc_sweep override lookup).
     di: usize,
     wave: SourceFn,
+    /// Small-signal AC excitation phasor, if the source carries one.
+    ac: Option<Complex>,
     kind: SrcKind,
 }
 
@@ -496,15 +502,57 @@ impl CompiledCircuit {
 
     /// Runs a small-signal AC analysis about the DC operating point.
     ///
-    /// AC is a cold path (one complex solve per frequency point), so it
-    /// reuses the reference assembly rather than a compiled program.
+    /// The real part of the system is the Newton Jacobian at the
+    /// operating point with the transient template in place of the DC
+    /// one (the inductor branches lose their DC-only regularization);
+    /// each frequency adds `jω` times the reactive template, which
+    /// already holds every capacitance, inductance and mutual term. AC
+    /// is a cold path, so each frequency is one dense complex solve.
     ///
     /// # Errors
     ///
     /// Propagates DC-op errors; [`SimError::SingularMatrix`] if the
     /// complex MNA system is singular at some frequency.
     pub fn ac(&self, spec: &AcSpec) -> Result<AcResult, SimError> {
-        crate::engine::Engine::new(&self.ckt)?.ac(spec)
+        let p = &self.program;
+        let nnz = p.pattern.nnz();
+        let mut st = ExecState::new(p, false);
+        let xop = self.dc_solve(&mut st, false, 0.0)?;
+        self.assemble(&mut st, &xop, &Mode::Dc { time: 0.0, force_ic: false, source_scale: 1.0 });
+        for s in 0..nnz {
+            st.vals[s] += p.base_tran[s] - p.base_dc[s];
+        }
+        let mut rhs = vec![Complex::ZERO; p.n + 1];
+        for src in &p.sources {
+            if let Some(j) = src.ac {
+                match src.kind {
+                    SrcKind::V { br } => rhs[br] += j,
+                    SrcKind::I { p: rp, n: rn } => {
+                        rhs[rp] += j;
+                        rhs[rn] -= j;
+                    }
+                }
+            }
+        }
+        rhs.truncate(p.n);
+        let branches: Vec<usize> = self.ckt.devices.iter().filter_map(|d| d.branch).collect();
+        let mut result = AcResult::new(spec.frequencies.clone(), self.signal_names(true));
+        let mut mat: Matrix<Complex> = Matrix::zeros(p.n);
+        for &f in &spec.frequencies {
+            let omega = 2.0 * std::f64::consts::PI * f;
+            let mut s = 0;
+            for row in 0..p.n {
+                for &col in p.pattern.row_cols(row) {
+                    mat.set(row, col, Complex::new(st.vals[s], omega * p.react[s]));
+                    s += 1;
+                }
+            }
+            let x = mat.solve(&rhs)?;
+            let mut point = x[..p.nv].to_vec();
+            point.extend(branches.iter().map(|&br| x[p.nv + br]));
+            result.push_point(&point);
+        }
+        Ok(result)
     }
 
     /// Sweeps the DC value of the named independent source.
@@ -535,6 +583,17 @@ impl CompiledCircuit {
             sweep.push(self.op_point_from(&x));
         }
         Ok(sweep)
+    }
+
+    /// Recorded signal names: every node, then `I(device)` for each
+    /// branch device in device order when `currents` is set.
+    fn signal_names(&self, currents: bool) -> Vec<String> {
+        let mut names: Vec<String> = self.ckt.node_names().map(str::to_string).collect();
+        if currents {
+            let branch_devices = self.ckt.devices.iter().filter(|d| d.branch.is_some());
+            names.extend(branch_devices.map(|d| format!("I({})", d.name)));
+        }
+        names
     }
 
     fn op_point_from(&self, x: &[f64]) -> OpPoint {
@@ -932,15 +991,7 @@ impl CompiledCircuit {
         }
         let trap = cfg.method == Integration::Trapezoidal;
 
-        let mut names: Vec<String> = self.ckt.node_names().map(str::to_string).collect();
-        if cfg.record_currents {
-            for dev in &self.ckt.devices {
-                if dev.branch.is_some() {
-                    names.push(format!("I({})", dev.name));
-                }
-            }
-        }
-        let mut result = TransientResult::new(names);
+        let mut result = TransientResult::new(self.signal_names(cfg.record_currents));
         let mut current_row: Vec<f64> = Vec::new();
         let mut record = |result: &mut TransientResult, t: f64, x: &[f64]| {
             if cfg.record_currents {
@@ -1469,7 +1520,7 @@ fn lower(ckt: &Circuit) -> Result<Program, SimError> {
                 }
                 inductors.push(IndInstr { di, br, ic: *ic, a: nd[0], b: nd[1], row });
             }
-            DeviceKind::VSource { wave, .. } => {
+            DeviceKind::VSource { wave, ac } => {
                 let br = nv + dev.branch.expect("vsource branch");
                 for (t, sign) in [(nd[0], 1.0), (nd[1], -1.0)] {
                     for tmpl in [&mut base_tran, &mut base_dc, &mut base_dc_ic] {
@@ -1477,12 +1528,18 @@ fn lower(ckt: &Circuit) -> Result<Program, SimError> {
                         fold(tmpl, slot(br, t), sign);
                     }
                 }
-                sources.push(SrcInstr { di, wave: wave.clone(), kind: SrcKind::V { br } });
-            }
-            DeviceKind::ISource { wave, .. } => {
                 sources.push(SrcInstr {
                     di,
                     wave: wave.clone(),
+                    ac: ac.map(|(m, ph)| Complex::from_polar(m, ph)),
+                    kind: SrcKind::V { br },
+                });
+            }
+            DeviceKind::ISource { wave, ac } => {
+                sources.push(SrcInstr {
+                    di,
+                    wave: wave.clone(),
+                    ac: ac.map(|(m, ph)| Complex::from_polar(m, ph)),
                     kind: SrcKind::I { p: rrow(nd[0], n), n: rrow(nd[1], n) },
                 });
             }
@@ -1628,7 +1685,6 @@ fn lower(ckt: &Circuit) -> Result<Program, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::TransientSpec;
     use crate::device::{DiodeModel, MosModel, SwitchModel};
 
     fn rc_lowpass() -> Circuit {
@@ -1697,14 +1753,9 @@ mod tests {
     }
 
     fn assert_tran_close(ckt: &Circuit, t_stop: f64, max_step: f64, signal: &str, tol: f64) {
-        let reference = ckt
-            .transient_reference(&TransientSpec::new(t_stop).with_max_step(max_step))
-            .expect("reference transient");
-        let compiled = ckt
-            .compile()
-            .expect("compile")
-            .tran(&TranConfig::builder(t_stop).max_step(max_step).build())
-            .expect("compiled transient");
+        let cfg = TranConfig::builder(t_stop).max_step(max_step).build();
+        let reference = ckt.transient_reference(&cfg).expect("reference transient");
+        let compiled = ckt.compile().expect("compile").tran(&cfg).expect("compiled transient");
         let wr = reference.trace(signal).expect("reference trace");
         let wc = compiled.trace(signal).expect("compiled trace");
         let span = wr.values().iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-12);
@@ -1901,21 +1952,6 @@ mod tests {
     }
 
     #[test]
-    fn ac_delegates_to_reference() {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.voltage_source_ac("V1", vin, Circuit::GND, SourceFn::dc(0.0), 1.0, 0.0);
-        ckt.resistor("R1", vin, out, 1.0e3);
-        ckt.capacitor("C1", out, Circuit::GND, 10.0e-9);
-        let sim = ckt.compile().unwrap();
-        let res = sim.ac(&AcSpec::log_sweep(100.0, 1.0e6, 20)).unwrap();
-        let f3 = res.corner_frequency("out").expect("corner");
-        let expect = 1.0 / (2.0 * std::f64::consts::PI * 1.0e3 * 10.0e-9);
-        assert!((f3 - expect).abs() / expect < 0.05, "f3 {f3} vs {expect}");
-    }
-
-    #[test]
     fn force_ic_initial_point_matches_reference() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
@@ -1925,14 +1961,9 @@ mod tests {
         ckt.capacitor_with_ic("C1", b, Circuit::GND, 1.0e-6, 2.5);
         let lr = ckt.inductor_with_ic("L1", b, Circuit::GND, 1.0e-3, 1.0e-3);
         let _ = lr;
-        let reference = ckt
-            .transient_reference(&TransientSpec::new(1.0e-6).with_max_step(0.1e-6))
-            .unwrap();
-        let compiled = ckt
-            .compile()
-            .unwrap()
-            .tran(&TranConfig::builder(1.0e-6).max_step(0.1e-6).build())
-            .unwrap();
+        let cfg = TranConfig::builder(1.0e-6).max_step(0.1e-6).build();
+        let reference = ckt.transient_reference(&cfg).unwrap();
+        let compiled = ckt.compile().unwrap().tran(&cfg).unwrap();
         let vr = reference.trace("b").unwrap().values()[0];
         let vc = compiled.trace("b").unwrap().values()[0];
         assert!((vr - 2.5).abs() < 1e-3, "reference ic {vr}");

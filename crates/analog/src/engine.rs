@@ -1,4 +1,5 @@
-//! The MNA assembly and solution engine behind all analyses.
+//! The dense interpreted MNA engine: the DC/transient reference the
+//! compiled engine is validated against.
 //!
 //! Unknown ordering: node voltages (all nodes except ground, in creation
 //! order) followed by branch currents (voltage sources, VCVS, inductors,
@@ -6,10 +7,7 @@
 
 use std::collections::HashMap;
 
-use crate::analysis::{
-    AcResult, AcSpec, Integration, OpPoint, TransientResult, TransientSpec,
-};
-use crate::complex::Complex;
+use crate::analysis::{Integration, OpPoint, TranConfig, TransientResult};
 use crate::device::{fetlim, limvds, pnjlim, DiodeModel, MosPolarity};
 use crate::error::SimError;
 use crate::linalg::Matrix;
@@ -599,7 +597,7 @@ impl<'a> Engine<'a> {
         bps
     }
 
-    pub(crate) fn transient(&mut self, spec: &TransientSpec) -> Result<TransientResult, SimError> {
+    pub(crate) fn transient(&mut self, spec: &TranConfig) -> Result<TransientResult, SimError> {
         let t_stop = spec.t_stop;
         let max_step = spec.max_step.unwrap_or(t_stop / 50.0);
         if max_step <= 0.0 {
@@ -753,7 +751,7 @@ impl<'a> Engine<'a> {
         history: &[(f64, Vec<f64>)],
         t_new: f64,
         x_new: &[f64],
-        spec: &TransientSpec,
+        spec: &TranConfig,
     ) -> f64 {
         let n = history.len();
         let (t0, x0) = &history[n - 3];
@@ -775,187 +773,6 @@ impl<'a> Engine<'a> {
             worst = worst.max(lte / tol);
         }
         worst
-    }
-
-    pub(crate) fn ac(&mut self, spec: &AcSpec) -> Result<AcResult, SimError> {
-        // Linearize about the DC operating point.
-        let xop = self.dc_solve(false, 0.0)?;
-        let mut names: Vec<String> = self.ckt.node_names().map(str::to_string).collect();
-        for dev in &self.ckt.devices {
-            if dev.branch.is_some() {
-                names.push(format!("I({})", dev.name));
-            }
-        }
-        let mut result = AcResult::new(spec.frequencies.clone(), names);
-        let mut mat: Matrix<Complex> = Matrix::zeros(self.n);
-        let mut rhs = vec![Complex::ZERO; self.n];
-        for &f in &spec.frequencies {
-            let omega = 2.0 * std::f64::consts::PI * f;
-            self.stamp_ac(&xop, omega, &mut mat, &mut rhs);
-            let x = mat.solve(&rhs)?;
-            let mut row: Vec<Complex> = x[..self.nv].to_vec();
-            for dev in &self.ckt.devices {
-                if let Some(br) = dev.branch {
-                    row.push(x[self.nv + br]);
-                }
-            }
-            result.push_point(&row);
-        }
-        Ok(result)
-    }
-
-    fn stamp_ac(&self, xop: &[f64], omega: f64, mat: &mut Matrix<Complex>, rhs: &mut [Complex]) {
-        mat.clear();
-        rhs.fill(Complex::ZERO);
-        let gs = Complex::from_real(self.gshunt);
-        for i in 0..self.nv {
-            mat.add(i, i, gs);
-        }
-        let stamp_g = |mat: &mut Matrix<Complex>, a: Option<usize>, b: Option<usize>, g: Complex| {
-            if let Some(a) = a {
-                mat.add(a, a, g);
-            }
-            if let Some(b) = b {
-                mat.add(b, b, g);
-            }
-            if let (Some(a), Some(b)) = (a, b) {
-                mat.add(a, b, -g);
-                mat.add(b, a, -g);
-            }
-        };
-        for di in 0..self.ckt.devices.len() {
-            let dev = &self.ckt.devices[di];
-            let nodes = &dev.nodes;
-            match &dev.kind {
-                DeviceKind::Resistor { ohms } => {
-                    stamp_g(mat, self.ni(nodes[0]), self.ni(nodes[1]), Complex::from_real(1.0 / ohms));
-                }
-                DeviceKind::Capacitor { farads, .. } => {
-                    stamp_g(mat, self.ni(nodes[0]), self.ni(nodes[1]), Complex::new(0.0, omega * farads));
-                }
-                DeviceKind::Inductor { .. } => {
-                    let (a, b) = (self.ni(nodes[0]), self.ni(nodes[1]));
-                    let br = self.nv + dev.branch.expect("inductor branch");
-                    if let Some(a) = a {
-                        mat.add(a, br, Complex::ONE);
-                        mat.add(br, a, Complex::ONE);
-                    }
-                    if let Some(b) = b {
-                        mat.add(b, br, -Complex::ONE);
-                        mat.add(br, b, -Complex::ONE);
-                    }
-                    for &(col, l) in self.ind_rows.get(&di).expect("inductor row") {
-                        mat.add(br, col, Complex::new(0.0, -omega * l));
-                    }
-                }
-                DeviceKind::VSource { ac, .. } => {
-                    let (p, n) = (self.ni(nodes[0]), self.ni(nodes[1]));
-                    let br = self.nv + dev.branch.expect("vsource branch");
-                    if let Some(p) = p {
-                        mat.add(p, br, Complex::ONE);
-                        mat.add(br, p, Complex::ONE);
-                    }
-                    if let Some(n) = n {
-                        mat.add(n, br, -Complex::ONE);
-                        mat.add(br, n, -Complex::ONE);
-                    }
-                    if let Some((m, ph)) = ac {
-                        rhs[br] += Complex::from_polar(*m, *ph);
-                    }
-                }
-                DeviceKind::ISource { ac, .. } => {
-                    if let Some((m, ph)) = ac {
-                        let j = Complex::from_polar(*m, *ph);
-                        if let Some(p) = self.ni(nodes[0]) {
-                            rhs[p] += j;
-                        }
-                        if let Some(n) = self.ni(nodes[1]) {
-                            rhs[n] -= j;
-                        }
-                    }
-                }
-                DeviceKind::Vcvs { gain } => {
-                    let (p, n, cp, cn) =
-                        (self.ni(nodes[0]), self.ni(nodes[1]), self.ni(nodes[2]), self.ni(nodes[3]));
-                    let br = self.nv + dev.branch.expect("vcvs branch");
-                    if let Some(p) = p {
-                        mat.add(p, br, Complex::ONE);
-                        mat.add(br, p, Complex::ONE);
-                    }
-                    if let Some(n) = n {
-                        mat.add(n, br, -Complex::ONE);
-                        mat.add(br, n, -Complex::ONE);
-                    }
-                    if let Some(cp) = cp {
-                        mat.add(br, cp, Complex::from_real(-gain));
-                    }
-                    if let Some(cn) = cn {
-                        mat.add(br, cn, Complex::from_real(*gain));
-                    }
-                }
-                DeviceKind::Vccs { gm } => {
-                    let (p, n, cp, cn) =
-                        (self.ni(nodes[0]), self.ni(nodes[1]), self.ni(nodes[2]), self.ni(nodes[3]));
-                    for (row, sign) in [(p, 1.0), (n, -1.0)] {
-                        if let Some(r) = row {
-                            if let Some(cp) = cp {
-                                mat.add(r, cp, Complex::from_real(gm * sign));
-                            }
-                            if let Some(cn) = cn {
-                                mat.add(r, cn, Complex::from_real(-gm * sign));
-                            }
-                        }
-                    }
-                }
-                DeviceKind::Diode { model } => {
-                    let (a, k) = (self.ni(nodes[0]), self.ni(nodes[1]));
-                    let vd = Self::volt(xop, a) - Self::volt(xop, k);
-                    let (_, gd) = model.eval(vd, self.vt);
-                    stamp_g(mat, a, k, Complex::from_real(gd + GMIN));
-                }
-                DeviceKind::Mosfet { model } => {
-                    let (nd, ng, ns, nb) =
-                        (self.ni(nodes[0]), self.ni(nodes[1]), self.ni(nodes[2]), self.ni(nodes[3]));
-                    let sp = model.sign();
-                    let (vd, vg, vs, vb) = (
-                        sp * Self::volt(xop, nd),
-                        sp * Self::volt(xop, ng),
-                        sp * Self::volt(xop, ns),
-                        sp * Self::volt(xop, nb),
-                    );
-                    let reversed = vd < vs;
-                    let (ed, es) = if reversed { (ns, nd) } else { (nd, ns) };
-                    let (ved, ves) = if reversed { (vs, vd) } else { (vd, vs) };
-                    let (id, gm, gds0, gmbs) =
-                        model.eval_normalized(vg - ves, (ved - ves).max(0.0), (vb - ves).min(0.3));
-                    let _ = id;
-                    let gds = gds0 + GMIN;
-                    for (row, sign) in [(ed, 1.0), (es, -1.0)] {
-                        if let Some(r) = row {
-                            if let Some(g) = ng {
-                                mat.add(r, g, Complex::from_real(sign * gm));
-                            }
-                            if let Some(d) = ed {
-                                mat.add(r, d, Complex::from_real(sign * gds));
-                            }
-                            if let Some(b) = nb {
-                                mat.add(r, b, Complex::from_real(sign * gmbs));
-                            }
-                            if let Some(s) = es {
-                                mat.add(r, s, Complex::from_real(-sign * (gm + gds + gmbs)));
-                            }
-                        }
-                    }
-                }
-                DeviceKind::Switch { model } => {
-                    let (p, n, cp, cn) =
-                        (self.ni(nodes[0]), self.ni(nodes[1]), self.ni(nodes[2]), self.ni(nodes[3]));
-                    let vc = Self::volt(xop, cp) - Self::volt(xop, cn);
-                    let (g, _) = model.conductance(vc);
-                    stamp_g(mat, p, n, Complex::from_real(g));
-                }
-            }
-        }
     }
 }
 

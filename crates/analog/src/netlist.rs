@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::analysis::{OpPoint, TransientResult, TransientSpec};
+use crate::analysis::{OpPoint, TranConfig, TransientResult};
 use crate::compiled::CompiledCircuit;
 use crate::device::{DiodeModel, MosModel, SwitchModel};
 use crate::engine::Engine;
@@ -482,7 +482,8 @@ impl Circuit {
         Engine::new(&self.for_simulation())?.dc_operating_point()
     }
 
-    /// Runs a transient analysis with the interpreted reference engine.
+    /// Runs a transient analysis with the interpreted reference engine
+    /// (`cfg.profile` is ignored).
     ///
     /// This is the validation baseline for the compiled engine — use
     /// [`Circuit::compile`] + [`CompiledCircuit::tran`] for production
@@ -492,8 +493,8 @@ impl Circuit {
     ///
     /// As [`CompiledCircuit::tran`].
     #[doc(hidden)]
-    pub fn transient_reference(&self, spec: &TransientSpec) -> Result<TransientResult, SimError> {
-        Engine::new(&self.for_simulation())?.transient(spec)
+    pub fn transient_reference(&self, cfg: &TranConfig) -> Result<TransientResult, SimError> {
+        Engine::new(&self.for_simulation())?.transient(cfg)
     }
 
     /// Instantaneous power dissipated in (or, for sources, delivered by)

@@ -3,7 +3,7 @@
 //! rectifier/demodulator circuits.
 
 use analog::{
-    AcSpec, Circuit, DiodeModel, MosModel, SourceFn, SwitchModel, TranConfig, TransientSpec,
+    AcSpec, Circuit, Complex, DiodeModel, MosModel, SourceFn, SwitchModel, TranConfig,
 };
 use analog::analysis::Integration;
 use analog::waveform::Edge;
@@ -67,10 +67,11 @@ fn rc_step_response_backward_euler() {
     ckt.voltage_source("V1", vin, Circuit::GND, SourceFn::dc(v0));
     ckt.resistor("R1", vin, out, r);
     ckt.capacitor_with_ic("C1", out, Circuit::GND, c, 0.0);
-    let spec = TransientSpec::new(5.0 * tau)
-        .with_max_step(tau / 200.0)
-        .with_method(Integration::BackwardEuler);
-    let res = ckt.compile().unwrap().tran(&TranConfig::from(&spec)).unwrap();
+    let cfg = TranConfig::builder(5.0 * tau)
+        .max_step(tau / 200.0)
+        .method(Integration::BackwardEuler)
+        .build();
+    let res = ckt.compile().unwrap().tran(&cfg).unwrap();
     let w = res.trace("out").unwrap();
     let expect = v0 * (1.0 - (-1.0f64).exp());
     assert!((w.value_at(tau) - expect).abs() < 0.02);
@@ -510,6 +511,97 @@ fn ac_common_source_amplifier_gain() {
         (gain - expect).abs() / expect < 0.05,
         "CS gain {gain} vs gm·Rout {expect}"
     );
+}
+
+/// Asserts `got` matches the closed-form phasor `want` to `1e-6`
+/// relative (the 1 pS node shunt sits far below that).
+fn assert_phasor(got: Complex, want: Complex, what: &str, f: f64) {
+    assert!(
+        (got - want).abs() <= 1e-6 * want.abs(),
+        "{what} at {f:.4e} Hz: {got} vs closed form {want}"
+    );
+}
+
+#[test]
+fn ac_loosely_coupled_transformer_matches_two_mesh_solution() {
+    // Primary mesh: V1 → RS → L1; secondary mesh: L2 → RL. Solving the
+    // two meshes gives the reflected-impedance primary current
+    // i1 = V / (RS + jωL1 + (ωM)² / (RL + jωL2)) and the secondary
+    // voltage v2 = jωM·RL·i1 / (RL + jωL2).
+    let (rs, l1, l2, k, rl): (f64, f64, f64, f64, f64) = (5.0, 10.0e-6, 40.0e-6, 0.3, 100.0);
+    let m = k * (l1 * l2).sqrt();
+    let mut ckt = Circuit::new();
+    let src = ckt.node("src");
+    let prim = ckt.node("prim");
+    let sec = ckt.node("sec");
+    ckt.voltage_source_ac("V1", src, Circuit::GND, SourceFn::dc(0.0), 1.0, 0.0);
+    ckt.resistor("RS", src, prim, rs);
+    let h1 = ckt.inductor("L1", prim, Circuit::GND, l1);
+    let h2 = ckt.inductor("L2", sec, Circuit::GND, l2);
+    ckt.couple(h1, h2, k);
+    ckt.resistor("RL", sec, Circuit::GND, rl);
+    let res = ckt.compile().unwrap().ac(&AcSpec::log_sweep(10.0e3, 10.0e6, 10)).unwrap();
+    for (n, &f) in res.frequencies().iter().enumerate() {
+        let w = TAU * f;
+        let z2 = Complex::new(rl, w * l2);
+        let reflected = Complex::from_real((w * m).powi(2)) / z2;
+        let i1 = Complex::ONE / (Complex::new(rs, w * l1) + reflected);
+        let v2 = Complex::new(0.0, w * m * rl) * i1 / z2;
+        assert_phasor(res.phasors("I(L1)").unwrap()[n], i1, "I(L1)", f);
+        assert_phasor(res.phasors("sec").unwrap()[n], v2, "v(sec)", f);
+        assert_phasor(res.phasors("I(L2)").unwrap()[n], -v2 / rl, "I(L2)", f);
+    }
+}
+
+#[test]
+fn ac_controlled_source_gain_stage_with_rc_poles() {
+    // E1 (gain A) drives R1–C1, a pole at 1/(2πR1C1); G1 turns v(c) into
+    // a current gm·v(c) into R2 ∥ C2, a second pole.
+    let (a, r1, c1, gm, r2, c2) = (20.0, 1.0e3, 1.0e-9, 5.0e-3, 2.0e3, 100.0e-12);
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let b = ckt.node("b");
+    let c = ckt.node("c");
+    let d = ckt.node("d");
+    ckt.voltage_source_ac("VIN", vin, Circuit::GND, SourceFn::dc(0.0), 1.0, 0.0);
+    ckt.vcvs("E1", b, Circuit::GND, vin, Circuit::GND, a);
+    ckt.resistor("R1", b, c, r1);
+    ckt.capacitor("C1", c, Circuit::GND, c1);
+    ckt.vccs("G1", Circuit::GND, d, c, Circuit::GND, gm);
+    ckt.resistor("R2", d, Circuit::GND, r2);
+    ckt.capacitor("C2", d, Circuit::GND, c2);
+    let res = ckt.compile().unwrap().ac(&AcSpec::log_sweep(1.0e3, 100.0e6, 10)).unwrap();
+    for (n, &f) in res.frequencies().iter().enumerate() {
+        let w = TAU * f;
+        let vc = Complex::from_real(a) / Complex::new(1.0, w * r1 * c1);
+        let vd = vc * gm * r2 / Complex::new(1.0, w * r2 * c2);
+        // The VCVS branch current runs p → n inside the source, so it is
+        // minus the current the source drives into R1–C1.
+        let ie = -Complex::from_real(a) / Complex::new(r1, -1.0 / (w * c1));
+        assert_phasor(res.phasors("c").unwrap()[n], vc, "v(c)", f);
+        assert_phasor(res.phasors("d").unwrap()[n], vd, "v(d)", f);
+        assert_phasor(res.phasors("I(E1)").unwrap()[n], ie, "I(E1)", f);
+    }
+}
+
+#[test]
+fn ac_current_source_into_parallel_rc() {
+    // A 1 mA∠0.5 rad source into R ∥ C: v = I·R / (1 + jωRC).
+    let (r, c) = (1.0e3, 1.0e-9);
+    let i = Complex::from_polar(1.0e-3, 0.5);
+    let mut ckt = Circuit::new();
+    let a = ckt.node("a");
+    ckt.current_source_ac("I1", a, Circuit::GND, SourceFn::dc(0.0), 1.0e-3, 0.5);
+    ckt.resistor("R1", a, Circuit::GND, r);
+    ckt.capacitor("C1", a, Circuit::GND, c);
+    let res = ckt.compile().unwrap().ac(&AcSpec::log_sweep(1.0e3, 100.0e6, 10)).unwrap();
+    for (n, &f) in res.frequencies().iter().enumerate() {
+        let want = i * r / Complex::new(1.0, TAU * f * r * c);
+        assert_phasor(res.phasors("a").unwrap()[n], want, "v(a)", f);
+    }
+    let f3 = res.corner_frequency("a").unwrap();
+    let expect = 1.0 / (TAU * r * c);
+    assert!((f3 - expect).abs() / expect < 0.03, "corner {f3} vs {expect}");
 }
 
 #[test]

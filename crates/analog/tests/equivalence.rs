@@ -6,7 +6,7 @@
 //! engines run identical Newton/LTE control flow, so trajectories agree
 //! to solver tolerance, not just physics tolerance).
 
-use analog::{Circuit, DiodeModel, SourceFn, TranConfig, TransientSpec};
+use analog::{Circuit, DiodeModel, SourceFn, TranConfig};
 use proptest::prelude::*;
 
 /// One ladder section: series resistance, shunt capacitance, and flags
@@ -78,14 +78,9 @@ proptest! {
         let ckt = build(v_amp, freq, &sections);
         let t_stop = 4.0 / freq;
         let max_step = t_stop / 400.0;
-        let reference = ckt
-            .transient_reference(&TransientSpec::new(t_stop).with_max_step(max_step))
-            .unwrap();
-        let compiled = ckt
-            .compile()
-            .unwrap()
-            .tran(&TranConfig::builder(t_stop).max_step(max_step).build())
-            .unwrap();
+        let cfg = TranConfig::builder(t_stop).max_step(max_step).build();
+        let reference = ckt.transient_reference(&cfg).unwrap();
+        let compiled = ckt.compile().unwrap().tran(&cfg).unwrap();
         let last = format!("n{}", sections.len());
         let wr = reference.trace(&last).unwrap();
         let wc = compiled.trace(&last).unwrap();

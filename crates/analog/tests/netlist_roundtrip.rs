@@ -1,7 +1,7 @@
 //! Round-trip tests: builder → netlist text → parser → same behaviour.
 
 use analog::parse::parse_netlist;
-use analog::{Circuit, DiodeModel, MosModel, SourceFn, SwitchModel, TranConfig, TransientSpec};
+use analog::{Circuit, DiodeModel, MosModel, SourceFn, SwitchModel, TranConfig};
 
 #[test]
 fn divider_round_trip() {
@@ -54,9 +54,9 @@ fn dynamic_circuit_round_trip_transient() {
     ckt.resistor("R1", a, b, 1.0e3);
     ckt.capacitor_with_ic("C1", b, Circuit::GND, 15.9e-9, 0.0);
     let back = parse_netlist(&ckt.to_netlist()).expect("round-trips");
-    let spec = TransientSpec::new(200.0e-6).with_max_step(0.5e-6);
-    let w1 = ckt.compile().unwrap().tran(&TranConfig::from(&spec)).unwrap().trace("b").unwrap();
-    let w2 = back.compile().unwrap().tran(&TranConfig::from(&spec)).unwrap().trace("b").unwrap();
+    let cfg = TranConfig::builder(200.0e-6).max_step(0.5e-6).build();
+    let w1 = ckt.compile().unwrap().tran(&cfg).unwrap().trace("b").unwrap();
+    let w2 = back.compile().unwrap().tran(&cfg).unwrap().trace("b").unwrap();
     for k in 1..10 {
         let t = k as f64 * 20.0e-6;
         assert!((w1.value_at(t) - w2.value_at(t)).abs() < 1e-6, "t = {t}");

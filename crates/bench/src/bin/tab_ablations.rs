@@ -17,7 +17,7 @@
 
 use bench::{banner, verdict};
 use analog::analysis::Integration;
-use analog::{Circuit, SourceFn, TranConfig, TransientSpec};
+use analog::{Circuit, SourceFn, TranConfig};
 use biosensor::SigmaDeltaAdc;
 use comms::bits::BitStream;
 use comms::lsk::{reflected_current, LskDetector};
@@ -76,11 +76,12 @@ fn a3_worst_error(method: Integration) -> f64 {
     ckt.voltage_source("V1", vin, Circuit::GND, SourceFn::dc(1.0));
     ckt.resistor("R1", vin, out, 1.0e3);
     ckt.capacitor_with_ic("C1", out, Circuit::GND, 1.0e-6, 0.0);
-    let spec = TransientSpec::new(3.0e-3)
-        .with_max_step(100.0e-6)
-        .with_method(method)
-        .without_lte();
-    let res = ckt.compile().unwrap().tran(&TranConfig::from(&spec)).expect("a3 simulates");
+    let cfg = TranConfig::builder(3.0e-3)
+        .max_step(100.0e-6)
+        .method(method)
+        .lte_control(false)
+        .build();
+    let res = ckt.compile().unwrap().tran(&cfg).expect("a3 simulates");
     let w = res.trace("out").expect("out");
     let mut worst: f64 = 0.0;
     for k in 1..=20 {

@@ -17,12 +17,19 @@
 //!
 //! * `health` — proxy status plus a per-replica membership table
 //!   (name, address, up/down/unknown, probe count) and the up count;
-//! * `metrics_v2` — the per-replica Prometheus expositions merged by
-//!   [`obs::merge_prometheus`], every sample tagged `replica="<name>"`
-//!   (byte-stable under replica count: a replica's lines are identical
-//!   whether it is scraped alone or with peers);
+//! * `metrics_v2` — every reachable replica's Prometheus exposition
+//!   merged by [`obs::merge_prometheus`], each sample tagged
+//!   `replica="<name>"` (byte-stable under replica count: a replica's
+//!   lines are identical whether it is scraped alone or with peers). A
+//!   server answers `metrics_v2` from its process-global `obs`
+//!   registry, so a block is per replica only when each replica is its
+//!   own process. Replicas spawned in-process
+//!   ([`ReplicaSet::spawn_local`], as `cluster_serve` does) share one
+//!   registry, and every `replica="rN"` block repeats the whole
+//!   process's totals;
 //! * `metrics` — each reachable replica's serving metrics under its
-//!   name;
+//!   name (kept per server instance, so correct for in-process replicas
+//!   too);
 //! * `shutdown` — acknowledges, then drains the whole set and stops
 //!   the proxy.
 

@@ -147,9 +147,8 @@ impl Fig11Scenario {
     /// Propagates simulation failures.
     pub fn run_reference(&self) -> Result<Fig11Outcome, SimError> {
         let ckt = self.build();
-        let spec =
-            analog::TransientSpec::new(self.t_stop).with_max_step(self.max_step);
-        let res = ckt.transient_reference(&spec)?;
+        let cfg = TranConfig::builder(self.t_stop).max_step(self.max_step).build();
+        let res = ckt.transient_reference(&cfg)?;
         Ok(self.evaluate(&res))
     }
 

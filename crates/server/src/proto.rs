@@ -222,17 +222,6 @@ impl Request {
         };
         Ok(Request { id, endpoint, version, deadline_ms, params })
     }
-
-    /// Parses one request line; the v1-era string-error form of
-    /// [`Request::decode_line`], kept for callers that only render the
-    /// message.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem found.
-    pub fn parse_line(line: &str) -> Result<Request, String> {
-        Request::decode_line(line).map_err(|e| e.message)
-    }
 }
 
 // ---- typed per-endpoint parameters (protocol layer 2) -----------------
@@ -973,7 +962,7 @@ mod tests {
 
     #[test]
     fn full_request_parses() {
-        let r = Request::parse_line(
+        let r = Request::decode_line(
             r#"{"id": 3, "endpoint": "sweep", "deadline_ms": 250, "params": {"steps": 4}}"#,
         )
         .unwrap();
@@ -986,7 +975,7 @@ mod tests {
 
     #[test]
     fn minimal_request_defaults() {
-        let r = Request::parse_line(r#"{"endpoint":"health"}"#).unwrap();
+        let r = Request::decode_line(r#"{"endpoint":"health"}"#).unwrap();
         assert_eq!(r.id, 0);
         assert_eq!(r.deadline_ms, None);
         assert!(matches!(r.params, Json::Obj(ref p) if p.is_empty()));
@@ -1004,7 +993,7 @@ mod tests {
             (r#"{"endpoint":"x","deadline_ms":1.5}"#, "\"deadline_ms\""),
             (r#"{"endpoint":"x","params":[1]}"#, "\"params\" must be an object"),
         ] {
-            let err = Request::parse_line(line).unwrap_err();
+            let err = Request::decode_line(line).unwrap_err().message;
             assert!(err.contains(needle), "{line:?}: {err}");
         }
     }

@@ -12,6 +12,7 @@ use runtime::Json;
 use server::client::{Client, Response};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Read timeout on every probe socket: an adversarial test must never
@@ -209,6 +210,16 @@ pub fn process_threads() -> usize {
         .expect("Threads: line")
 }
 
+/// Serializes the tests of one test binary that start or count
+/// threads: [`process_threads`] sees every thread in the process, so a
+/// sibling test's threads would move it. Hold the guard for the whole
+/// test. A failed test poisons the lock, but it guards no data, so the
+/// next caller recovers the guard instead of failing too.
+pub fn thread_count_lock() -> MutexGuard<'static, ()> {
+    static THREADS: Mutex<()> = Mutex::new(());
+    THREADS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Fans `n` connection setups over a few client threads: on a loaded
 /// (or single-core) host each blocking `connect` pays a scheduler
 /// wakeup, and overlapping them is the difference between seconds and
@@ -313,20 +324,32 @@ mod tests {
 
     #[test]
     fn process_threads_sees_spawned_threads() {
+        let _serial = thread_count_lock();
         let before = process_threads();
         assert!(before >= 1, "at least this thread is running");
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let parked = std::thread::spawn(move || rx.recv().unwrap_or(()));
+        // The test harness runs each sibling test on its own thread, and
+        // one of those may exit between the two reads; the lock cannot
+        // stop that. Park several threads so one exit cannot cancel them.
+        const PARKED: usize = 8;
+        let (unpark, parked): (Vec<_>, Vec<_>) = (0..PARKED)
+            .map(|_| {
+                let (tx, rx) = std::sync::mpsc::channel::<()>();
+                (tx, std::thread::spawn(move || rx.recv().unwrap_or(())))
+            })
+            .unzip();
         // The counter must move with real thread lifecycle events —
         // that is what the fan-in battery's flatness assertions rest on.
         let during = process_threads();
-        assert!(during > before, "spawned thread not counted: {before} -> {during}");
-        tx.send(()).expect("unpark");
-        parked.join().expect("parked thread");
+        assert!(during > before, "spawned threads not counted: {before} -> {during}");
+        drop(unpark);
+        for thread in parked {
+            thread.join().expect("parked thread");
+        }
     }
 
     #[test]
     fn connect_storms_deliver_every_socket_live() {
+        let _serial = thread_count_lock();
         // A bare listener accepts into its backlog without a server
         // behind it — enough to prove the fan-out lanes lose nothing.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -339,6 +362,7 @@ mod tests {
 
     #[test]
     fn disconnect_storm_completes_against_an_unattended_listener() {
+        let _serial = thread_count_lock();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         // Nothing ever reads these frames; the storm must still finish
         // (its peers vanish without waiting on anyone).

@@ -8,11 +8,16 @@ use std::net::TcpStream;
 use std::time::Duration;
 use testkit::adversary::{
     capped_connections, disconnect_storm, idle_soak, process_threads, slowloris_storm,
+    thread_count_lock,
 };
 use testkit::AdversarialClient;
 
+// Every test here starts server threads, and three of them count every
+// thread in the process, so each holds `thread_count_lock` throughout.
+
 #[test]
 fn full_assault_leaves_the_server_healthy() {
+    let _serial = thread_count_lock();
     let handle = Server::spawn(ServerConfig::default()).expect("ephemeral bind");
     let client = AdversarialClient::new(handle.addr());
     let report = client.assault();
@@ -30,6 +35,7 @@ fn full_assault_leaves_the_server_healthy() {
 
 #[test]
 fn abandoned_requests_do_not_poison_later_clients() {
+    let _serial = thread_count_lock();
     let handle = Server::spawn(ServerConfig::default()).expect("ephemeral bind");
     let client = AdversarialClient::new(handle.addr());
     // A burst of clients that all walk away mid-transaction.
@@ -45,6 +51,7 @@ fn abandoned_requests_do_not_poison_later_clients() {
 
 #[test]
 fn shutdown_with_inflight_requests_drains_them() {
+    let _serial = thread_count_lock();
     let handle = Server::spawn(ServerConfig::default()).expect("ephemeral bind");
     let addr = handle.addr();
 
@@ -84,6 +91,7 @@ fn shutdown_with_inflight_requests_drains_them() {
 /// nothing spawns per connection — and the data plane still answers.
 #[test]
 fn ten_thousand_idle_connections_do_not_grow_the_thread_count() {
+    let _serial = thread_count_lock();
     let handle = Server::spawn(ServerConfig { workers: 2, pollers: 2, ..ServerConfig::default() })
         .expect("ephemeral bind");
     let addr = handle.addr();
@@ -117,6 +125,7 @@ fn ten_thousand_idle_connections_do_not_grow_the_thread_count() {
 /// buffer space, not threads, and cannot starve a well-behaved client.
 #[test]
 fn slowloris_at_scale_cannot_starve_the_data_plane() {
+    let _serial = thread_count_lock();
     let handle = Server::spawn(ServerConfig { workers: 2, pollers: 2, ..ServerConfig::default() })
         .expect("ephemeral bind");
     let addr = handle.addr();
@@ -155,6 +164,7 @@ fn slowloris_at_scale_cannot_starve_the_data_plane() {
 /// intact.
 #[test]
 fn mid_poll_disconnect_storm_leaves_the_server_healthy() {
+    let _serial = thread_count_lock();
     let handle = Server::spawn(ServerConfig { workers: 2, pollers: 2, ..ServerConfig::default() })
         .expect("ephemeral bind");
     let addr = handle.addr();

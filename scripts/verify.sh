@@ -82,9 +82,9 @@ lane scenario-w1 env IMPLANT_WORKERS=1 cargo test -q -p implant-scenario
 lane scenario-w8 env IMPLANT_WORKERS=8 cargo test -q -p implant-scenario
 
 # Kernels lane: the compiled analog engine. The equivalence suite pits
-# the compiled engine against the dense reference on random RLC+diode
-# netlists and the golden circuits; the bench smoke then times the
-# fig11 transient on all three engines (dense reference, compiled
+# the compiled engine against the dense DC/transient reference on random
+# RLC+diode netlists and the golden circuits; the bench smoke then times
+# the fig11 transient on all three engines (dense reference, compiled
 # monolithic, partitioned cosim), and bench_validate holds the
 # artifact's `compiled.fig11_speedup` to the ≥5× floor and
 # `compiled.cosim_speedup` to the ≥3× floor.
