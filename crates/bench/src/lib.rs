@@ -21,8 +21,31 @@
 //! the substrate (transient steps, conversions, filament sums) rather
 //! than reproducing paper numbers.
 
-use runtime::Json;
+use runtime::{Artifact, Json, ResultCache};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// The result cache a sweep harness runs on: in memory, plus an
+/// `implant-store` tier when `IMPLANT_CACHE_DIR` names a directory, so
+/// a re-run recomputes only changed points. A path the store cannot
+/// open (a plain file, say) is reported on stderr and the run caches in
+/// memory only.
+pub fn harness_cache<V: Artifact + Clone>() -> ResultCache<V> {
+    let cache = ResultCache::in_memory();
+    let Some(dir) = std::env::var_os("IMPLANT_CACHE_DIR").filter(|d| !d.is_empty()) else {
+        return cache;
+    };
+    match store::Store::open(&dir, "harness") {
+        Ok(tier) => cache.with_tier(Arc::new(tier)),
+        Err(e) => {
+            eprintln!(
+                "IMPLANT_CACHE_DIR={}: cannot open the artifact store ({e}); caching in memory",
+                std::path::Path::new(&dir).display()
+            );
+            cache
+        }
+    }
+}
 
 /// Prints the standard harness banner for experiment `id` reproducing
 /// `artifact`.

@@ -3,18 +3,18 @@
 //! Keys are a stable 64-bit FNV-1a hash of the batch namespace plus the
 //! job's canonical parameter string, so a result is reused exactly when
 //! the same named sweep re-evaluates the same parameter point. The cache
-//! always holds results in memory; pointing it at a directory
-//! additionally persists every entry as a small JSON artifact, which
-//! lets a re-run of a sweep recompute only changed points across
-//! process restarts. Long-lived services should use the bounded mode
-//! ([`ResultCache::bounded`] / [`ResultCache::with_capacity`]): the
-//! in-memory entry count is capped and the oldest entry is evicted
-//! first, so memory cannot grow without bound.
+//! always holds results in memory; attaching an [`ArtifactTier`] (the
+//! `implant-store` directory) additionally persists every entry through
+//! it, which lets a re-run of a sweep recompute only changed points
+//! across process restarts. The cache itself does no file I/O.
+//! Long-lived services should use the bounded mode
+//! ([`ResultCache::bounded`]): the in-memory entry count is capped and
+//! the oldest entry is evicted first, so memory cannot grow without
+//! bound.
 
 use crate::job::ParamPoint;
 use crate::json::Json;
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -37,7 +37,7 @@ pub fn cache_key(namespace: &str, point: &ParamPoint) -> u64 {
     fnv1a64(format!("{namespace}\u{1f}{}", point.canonical()).as_bytes())
 }
 
-/// A value the cache can persist to disk as JSON.
+/// A value the cache can persist through its tier as JSON.
 ///
 /// Implementations must round-trip exactly: `from_json(&v.to_json())`
 /// must reconstruct a value equal to `v` (bit-exact for floats — the
@@ -45,7 +45,8 @@ pub fn cache_key(namespace: &str, point: &ParamPoint) -> u64 {
 pub trait Artifact: Sized {
     /// Encodes the value.
     fn to_json(&self) -> Json;
-    /// Decodes a value; `None` on shape mismatch (treated as a miss).
+    /// Decodes a value; `None` on shape mismatch (treated as a miss and
+    /// counted under `store.corrupt`).
     fn from_json(json: &Json) -> Option<Self>;
 }
 
@@ -154,20 +155,17 @@ pub struct ResultCache<V> {
     mem: Mutex<MemStore<V>>,
     /// Maximum in-memory entries; `None` = unbounded.
     capacity: Option<usize>,
-    dir: Option<PathBuf>,
-    /// Shared artifact tier consulted after memory and disk.
+    /// Shared artifact tier consulted after memory.
     tier: Option<Arc<dyn ArtifactTier>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    corrupt: AtomicU64,
 }
 
 impl<V: std::fmt::Debug> std::fmt::Debug for ResultCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultCache")
             .field("capacity", &self.capacity)
-            .field("dir", &self.dir)
             .field("tier", &self.tier.as_ref().map(|_| "<tier>"))
             .field("len", &self.mem.lock().map(|m| m.map.len()).unwrap_or(0))
             .finish()
@@ -180,72 +178,38 @@ impl<V: Artifact + Clone> ResultCache<V> {
         ResultCache {
             mem: Mutex::new(MemStore::default()),
             capacity: None,
-            dir: None,
             tier: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
         }
     }
 
     /// An in-memory cache holding at most `capacity` entries; inserting
     /// beyond the cap evicts the *oldest* entry (first-in, first-out),
     /// so a long-lived service cannot grow memory without bound.
-    /// `capacity` 0 caches nothing.
+    /// `capacity` 0 caches nothing. Eviction never touches the tier:
+    /// an evicted entry that was written through reloads from it.
     pub fn bounded(capacity: usize) -> Self {
         ResultCache { capacity: Some(capacity), ..Self::in_memory() }
     }
 
-    /// A cache that also persists every entry under `dir` (created on
-    /// first write). Existing artifacts in `dir` satisfy lookups.
-    pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
-        ResultCache { dir: Some(dir.into()), ..Self::in_memory() }
-    }
-
-    /// Caps the in-memory entry count of any cache; builder style. Disk
-    /// artifacts are untouched by eviction — an evicted entry written
-    /// under a `with_dir` directory still satisfies a later lookup.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = Some(capacity);
-        self
-    }
-
     /// Attaches a shared artifact tier; builder style. The tier is
-    /// consulted after memory and the private artifact directory, and
-    /// written through on every [`ResultCache::put`].
+    /// consulted on a memory miss and written through on every
+    /// [`ResultCache::put`].
     #[must_use]
     pub fn with_tier(mut self, tier: Arc<dyn ArtifactTier>) -> Self {
         self.tier = Some(tier);
         self
     }
 
-    /// Reads the artifact directory from environment variable `var`:
-    /// set → persistent cache in that directory, unset → in-memory.
-    pub fn from_env(var: &str) -> Self {
-        match std::env::var_os(var) {
-            Some(dir) if !dir.is_empty() => Self::with_dir(PathBuf::from(dir)),
-            _ => Self::in_memory(),
-        }
-    }
-
-    /// The cache key of `point` within `namespace` (see [`cache_key`]).
-    pub fn key(namespace: &str, point: &ParamPoint) -> u64 {
-        cache_key(namespace, point)
-    }
-
-    /// Looks up a point; counts a hit or a miss.
+    /// Looks up a point in memory, then in the tier; counts a hit or a
+    /// miss.
     pub fn get(&self, namespace: &str, point: &ParamPoint) -> Option<V> {
-        let key = Self::key(namespace, point);
+        let key = cache_key(namespace, point);
         if let Some(v) = self.mem.lock().expect("cache lock").map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(v.clone());
-        }
-        if let Some(v) = self.load_artifact(key) {
-            self.insert(key, v.clone());
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(v);
         }
         if let Some(v) = self.load_tier(key) {
             self.insert(key, v.clone());
@@ -256,13 +220,11 @@ impl<V: Artifact + Clone> ResultCache<V> {
         None
     }
 
-    /// Stores a computed result for a point.
+    /// Stores a computed result for a point, writing it through to the
+    /// tier.
     pub fn put(&self, namespace: &str, point: &ParamPoint, value: &V) {
-        let key = Self::key(namespace, point);
+        let key = cache_key(namespace, point);
         self.insert(key, value.clone());
-        if self.dir.is_some() {
-            self.store_artifact(key, namespace, point, value);
-        }
         if let Some(tier) = &self.tier {
             tier.store(key, namespace, &point.canonical(), &value.to_json());
         }
@@ -272,14 +234,14 @@ impl<V: Artifact + Clone> ResultCache<V> {
     /// derivation. This is the catch-up path: a rejoining replica that
     /// enumerates warm keys from a shared tier manifest knows only the
     /// keys, not the points that produced them, and must still be able
-    /// to pre-warm its memory before taking traffic. No tier or disk
-    /// write-through happens — the artifact already lives there.
+    /// to pre-warm its memory before taking traffic. No tier write-through
+    /// happens — the artifact already lives there.
     pub fn admit(&self, key: u64, value: V) {
         self.insert(key, value);
     }
 
-    /// Looks up a raw cache key in memory only (no disk, no tier, no
-    /// hit/miss accounting) — used by tests and catch-up verification.
+    /// Looks up a raw cache key in memory only (no tier, no hit/miss
+    /// accounting) — used by tests and catch-up verification.
     pub fn peek(&self, key: u64) -> Option<V> {
         self.mem.lock().expect("cache lock").map.get(&key).cloned()
     }
@@ -314,12 +276,6 @@ impl<V: Artifact + Clone> ResultCache<V> {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Disk artifacts that existed but failed to read or parse (treated
-    /// as misses) since construction.
-    pub fn corrupt(&self) -> u64 {
-        self.corrupt.load(Ordering::Relaxed)
-    }
-
     /// Entries currently held in memory.
     pub fn len(&self) -> usize {
         self.mem.lock().expect("cache lock").map.len()
@@ -330,54 +286,16 @@ impl<V: Artifact + Clone> ResultCache<V> {
         self.len() == 0
     }
 
-    fn artifact_path(&self, key: u64) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{key:016x}.json")))
-    }
-
-    fn load_artifact(&self, key: u64) -> Option<V> {
-        let path = self.artifact_path(key)?;
-        if !path.exists() {
-            return None; // Plain miss — nothing was ever written here.
-        }
-        // The file exists: from here on, any failure means a torn or
-        // corrupt artifact (a non-atomic writer died mid-write, or the
-        // bytes rotted). Treat it as a miss so the caller recomputes,
-        // but count it — silent data loss should be visible in metrics.
-        let corrupt = |cache: &Self| {
-            cache.corrupt.fetch_add(1, Ordering::Relaxed);
-            obs::count!("store.corrupt");
-            None
-        };
-        let Ok(text) = std::fs::read_to_string(&path) else { return corrupt(self) };
-        let Some(doc) = Json::parse(&text) else { return corrupt(self) };
-        match doc.get("value").and_then(V::from_json) {
-            Some(v) => Some(v),
-            None => corrupt(self),
-        }
-    }
-
+    /// Decodes the tier's value for `key`. A value of the wrong shape
+    /// (a namespace reused across a schema change, a hand-edited
+    /// object) reads as a miss so the caller recomputes, but is counted
+    /// under `store.corrupt` — silent data loss should show in metrics.
     fn load_tier(&self, key: u64) -> Option<V> {
-        V::from_json(&self.tier.as_ref()?.load(key)?)
-    }
-
-    fn store_artifact(&self, key: u64, namespace: &str, point: &ParamPoint, value: &V) {
-        let Some(path) = self.artifact_path(key) else { return };
-        if let Some(dir) = path.parent() {
-            if std::fs::create_dir_all(dir).is_err() {
-                return; // Persistence is best-effort; memory still holds it.
-            }
+        let value = V::from_json(&self.tier.as_ref()?.load(key)?);
+        if value.is_none() {
+            obs::count!("store.corrupt");
         }
-        let doc = Json::obj(vec![
-            ("namespace", Json::Str(namespace.to_string())),
-            ("params", Json::Str(point.canonical())),
-            ("value", value.to_json()),
-        ]);
-        let _ = atomic_write(&path, doc.to_string().as_bytes());
-    }
-
-    /// The artifact directory, when persistence is enabled.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
+        value
     }
 }
 
@@ -452,30 +370,6 @@ impl<W> Inflight<W> {
     }
 }
 
-/// Atomically replaces `path` with `bytes`: write to a unique temp file
-/// in the same directory, then `rename` over the target. A concurrent
-/// reader sees either the old complete artifact or the new one — never
-/// a torn half-write — and racing writers of the same content-addressed
-/// key both leave a complete file behind (last rename wins).
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let parent = path.parent().unwrap_or_else(|| Path::new("."));
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("artifact");
-    let tmp = parent.join(format!(
-        ".{name}.tmp.{}.{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed),
-    ));
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,7 +385,9 @@ mod tests {
     #[test]
     fn free_cache_key_matches_the_cache_own_key() {
         let p = ParamPoint::new().with("scale", 1.0).with("trials", 200u64);
-        assert_eq!(cache_key("ns", &p), ResultCache::<f64>::key("ns", &p));
+        let cache: ResultCache<f64> = ResultCache::in_memory();
+        cache.put("ns", &p, &1.5);
+        assert_eq!(cache.peek(cache_key("ns", &p)), Some(1.5), "the cache stores under cache_key");
         // Namespace and point both contribute.
         assert_ne!(cache_key("ns", &p), cache_key("other", &p));
         assert_ne!(
@@ -518,21 +414,6 @@ mod tests {
         assert_eq!(cache.get("b", &p), None);
         assert_eq!(cache.get("a", &ParamPoint::new().with("d", 7.0)), None);
         assert_eq!(cache.get("a", &p), Some(1.0));
-    }
-
-    #[test]
-    fn disk_artifacts_survive_a_new_cache() {
-        let dir = std::env::temp_dir().join(format!("runtime-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let p = ParamPoint::new().with("d", 17.0).with("medium", "sirloin");
-        {
-            let cache: ResultCache<f64> = ResultCache::with_dir(&dir);
-            cache.put("sweep", &p, &1.17e-3);
-        }
-        let fresh: ResultCache<f64> = ResultCache::with_dir(&dir);
-        assert_eq!(fresh.get("sweep", &p), Some(1.17e-3));
-        assert_eq!(fresh.stats(), (1, 0));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -576,84 +457,10 @@ mod tests {
     }
 
     #[test]
-    fn disk_artifacts_survive_eviction() {
-        let dir = std::env::temp_dir().join(format!("runtime-evict-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache: ResultCache<f64> = ResultCache::with_dir(&dir).with_capacity(1);
-        let p = |d: f64| ParamPoint::new().with("d", d);
-        cache.put("ns", &p(1.0), &1.0);
-        cache.put("ns", &p(2.0), &2.0); // evicts d=1.0 from memory only
-        assert_eq!(cache.len(), 1);
-        // The evicted entry reloads from its artifact (and counts a hit).
-        assert_eq!(cache.get("ns", &p(1.0)), Some(1.0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn vec_and_tuple_artifacts_round_trip() {
         let v: Vec<(f64, u64)> = vec![(1.5, 2), (f64::INFINITY, 0)];
         let back = Vec::<(f64, u64)>::from_json(&v.to_json()).unwrap();
         assert_eq!(back, v);
-    }
-
-    #[test]
-    fn corrupt_artifact_reads_as_a_miss_and_is_counted() {
-        let dir = std::env::temp_dir().join(format!("runtime-corrupt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let p = ParamPoint::new().with("d", 3.0);
-        let cache: ResultCache<f64> = ResultCache::with_dir(&dir);
-        cache.put("ns", &p, &9.0);
-        let key = cache_key("ns", &p);
-        // Truncate the artifact mid-document, as a dying non-atomic
-        // writer would, then look it up through a cold cache.
-        std::fs::write(dir.join(format!("{key:016x}.json")), "{\"namespace\":\"ns\",\"val")
-            .unwrap();
-        let fresh: ResultCache<f64> = ResultCache::with_dir(&dir);
-        assert_eq!(fresh.get("ns", &p), None, "torn artifact must read as a miss");
-        assert_eq!(fresh.corrupt(), 1);
-        assert_eq!(fresh.stats(), (0, 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wrong_shape_artifact_counts_corrupt_but_missing_file_does_not() {
-        let dir = std::env::temp_dir().join(format!("runtime-shape-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = ParamPoint::new().with("d", 4.0);
-        let cache: ResultCache<f64> = ResultCache::with_dir(&dir);
-        assert_eq!(cache.get("ns", &p), None);
-        assert_eq!(cache.corrupt(), 0, "a file that never existed is a plain miss");
-        let key = cache_key("ns", &p);
-        // Valid JSON, wrong value shape for f64.
-        std::fs::write(
-            dir.join(format!("{key:016x}.json")),
-            "{\"namespace\":\"ns\",\"params\":\"d=4\",\"value\":[1,2]}",
-        )
-        .unwrap();
-        assert_eq!(cache.get("ns", &p), None);
-        assert_eq!(cache.corrupt(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn atomic_write_replaces_whole_files() {
-        let dir = std::env::temp_dir().join(format!("runtime-atomic-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("a.json");
-        atomic_write(&path, b"first").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "first");
-        atomic_write(&path, b"second, longer than first").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second, longer than first");
-        // No temp files may linger after a successful replace.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-            .collect();
-        assert!(leftovers.is_empty(), "temp files must not linger: {leftovers:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A tier backed by a plain mutexed map, for wiring tests.
@@ -693,6 +500,40 @@ mod tests {
         let loads = tier.loads.load(Ordering::Relaxed);
         assert_eq!(fresh.get("ns", &p), Some(42.0));
         assert_eq!(tier.loads.load(Ordering::Relaxed), loads);
+    }
+
+    #[test]
+    fn bounded_cache_reloads_evicted_entries_from_the_tier() {
+        let tier = Arc::new(MapTier::default());
+        let cache: ResultCache<f64> = ResultCache::bounded(1).with_tier(tier.clone());
+        let p = |d: f64| ParamPoint::new().with("d", d);
+        cache.put("ns", &p(1.0), &1.0);
+        cache.put("ns", &p(2.0), &2.0); // evicts d=1.0 from memory only
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.evictions(), 1);
+        // The evicted entry reloads from the tier (and counts a hit).
+        assert_eq!(cache.get("ns", &p(1.0)), Some(1.0));
+        assert_eq!(cache.stats(), (1, 0));
+    }
+
+    fn store_corrupt_count() -> u64 {
+        obs::snapshot().iter().find(|s| s.name == "store.corrupt").map_or(0, |s| s.count)
+    }
+
+    #[test]
+    fn wrong_shape_tier_value_is_a_miss_and_counts_store_corrupt() {
+        obs::set_enabled(true);
+        let tier = Arc::new(MapTier::default());
+        let cache: ResultCache<f64> = ResultCache::in_memory().with_tier(tier.clone());
+        let p = ParamPoint::new().with("d", 4.0);
+        let before = store_corrupt_count();
+        assert_eq!(cache.get("ns", &p), None);
+        assert_eq!(store_corrupt_count(), before, "an absent value is a plain miss");
+        // Valid JSON, wrong value shape for f64.
+        tier.store(cache_key("ns", &p), "ns", "d=4", &Json::Arr(vec![Json::Num(1.0)]));
+        assert_eq!(cache.get("ns", &p), None);
+        assert_eq!(cache.stats(), (0, 2));
+        assert!(store_corrupt_count() > before, "a wrong-shape value must count store.corrupt");
     }
 
     #[test]

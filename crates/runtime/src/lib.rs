@@ -14,8 +14,9 @@
 //! * [`rng`] — the in-tree SplitMix64 / xoshiro256++ generators the
 //!   whole workspace uses instead of the `rand` crate;
 //! * [`cache`] — a content-keyed [`ResultCache`] (stable hash of the
-//!   parameter point) with an optional on-disk JSON artifact directory,
-//!   so re-running a sweep recomputes only changed points;
+//!   parameter point) that persists only through an optional
+//!   [`ArtifactTier`] (the `implant-store` directory), so re-running a
+//!   sweep recomputes only changed points;
 //! * [`metrics`] — per-run [`RunMetrics`]: wall times, throughput and
 //!   cache counters, with a human-readable end-of-run summary;
 //! * [`json`] — the minimal JSON codec backing the artifact store.
@@ -50,9 +51,7 @@ pub mod metrics;
 pub mod pool;
 pub mod rng;
 
-pub use cache::{
-    atomic_write, cache_key, fnv1a64, Artifact, ArtifactTier, Flight, Inflight, ResultCache,
-};
+pub use cache::{cache_key, fnv1a64, Artifact, ArtifactTier, Flight, Inflight, ResultCache};
 pub use job::{Batch, BatchBuilder, Grid, GridBuilder, ParamPoint, ParamValue};
 pub use json::Json;
 pub use metrics::{LatencyHistogram, RunMetrics};

@@ -26,6 +26,7 @@ use crate::flight::Waiter;
 use crate::poller::{LineAction, LineService};
 use crate::proto::{
     decode_err_response, err_response, ok_response, ErrorCode, Request, RequestBody,
+    CONTROL_ENDPOINTS, DATA_ENDPOINTS,
 };
 use crate::queue::PushError;
 use crate::router::RouteError;
@@ -39,8 +40,9 @@ use std::time::{Duration, Instant};
 /// Hard cap on one request line, bytes (newline excluded).
 pub const MAX_LINE: usize = 64 * 1024;
 
-/// Pseudo-endpoint name malformed lines are accounted under (they have
-/// no parseable endpoint of their own).
+/// Pseudo-endpoint name malformed lines are accounted under: lines with
+/// no parseable endpoint, and requests naming an endpoint the server
+/// does not have (a client must not be able to mint ledger keys).
 pub const MALFORMED: &str = "_malformed";
 
 /// Pseudo-endpoint name idle-timeout closes are accounted under.
@@ -163,6 +165,12 @@ impl LineService for ServerService {
     }
 }
 
+/// The metrics key a request naming `endpoint` is counted under: a
+/// known endpoint keeps its own, anything else is [`MALFORMED`].
+fn ledger_name(endpoint: &str) -> &'static str {
+    DATA_ENDPOINTS.iter().chain(&CONTROL_ENDPOINTS).find(|&&n| n == endpoint).unwrap_or(&MALFORMED)
+}
+
 /// Routes one parsed envelope: control plane inline, data plane decoded
 /// to a typed body and queued.
 fn dispatch(request: Request, shared: &Arc<Shared>) -> LineAction {
@@ -173,7 +181,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> LineAction {
     let body = match body {
         Ok(body) => body,
         Err(err) => {
-            shared.metrics.record_error(&request.endpoint, err.code);
+            shared.metrics.record_error(ledger_name(&request.endpoint), err.code);
             return LineAction::Inline(decode_err_response(request.id, &err));
         }
     };

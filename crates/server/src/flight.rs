@@ -66,7 +66,7 @@ pub enum FlightOutcome<'a> {
 pub fn publish(
     flight: &Inflight<Waiter>,
     metrics: &ServerMetrics,
-    endpoint: &str,
+    endpoint: &'static str,
     key: u64,
     outcome: FlightOutcome<'_>,
     service: Duration,

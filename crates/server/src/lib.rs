@@ -717,4 +717,32 @@ mod tests {
         drop(conn);
         handle.join();
     }
+
+    #[test]
+    fn unknown_endpoint_names_cannot_grow_the_metrics_ledger() {
+        let handle = Server::spawn(ServerConfig::default()).unwrap();
+        let (mut conn, mut reader) = connect(&handle);
+        // Pipelined in one write; every line is answered inline, in order.
+        let lines: String = (0..300).map(|i| format!("{{\"endpoint\":\"probe-{i}\"}}\n")).collect();
+        conn.write_all(lines.as_bytes()).unwrap();
+        for _ in 0..300 {
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            assert!(response.contains("unknown_endpoint"), "{response}");
+        }
+        // A known endpoint with bad parameters keeps its own key.
+        request(&mut conn, &mut reader, r#"{"endpoint":"sweep","params":{"steps":1}}"#);
+        let metrics = request(&mut conn, &mut reader, r#"{"endpoint":"metrics"}"#);
+        let Some(Json::Obj(ledger)) = metrics.get("result").and_then(|r| r.get("endpoints")) else {
+            panic!("metrics must carry an endpoints object: {metrics}");
+        };
+        let errors: Vec<(&str, Option<u64>)> = ledger
+            .iter()
+            .map(|(name, stats)| (name.as_str(), stats.get("errors").and_then(Json::as_u64)))
+            .collect();
+        assert_eq!(errors, vec![(conn::MALFORMED, Some(300)), ("sweep", Some(1))]);
+        handle.shutdown();
+        drop(conn);
+        handle.join();
+    }
 }

@@ -54,10 +54,12 @@ impl EndpointStats {
 }
 
 /// Thread-safe metrics registry, one [`EndpointStats`] per endpoint in
-/// first-seen order (stable `metrics` payloads).
+/// first-seen order (stable `metrics` payloads). Keys are `'static`
+/// names from the server's own tables, never client-supplied text, so
+/// the ledger stays as small as the endpoint set.
 pub struct ServerMetrics {
     started: Instant,
-    endpoints: Mutex<Vec<(String, EndpointStats)>>,
+    endpoints: Mutex<Vec<(&'static str, EndpointStats)>>,
 }
 
 impl ServerMetrics {
@@ -66,12 +68,12 @@ impl ServerMetrics {
         ServerMetrics { started: Instant::now(), endpoints: Mutex::new(Vec::new()) }
     }
 
-    fn with_entry(&self, endpoint: &str, f: impl FnOnce(&mut EndpointStats)) {
+    fn with_entry(&self, endpoint: &'static str, f: impl FnOnce(&mut EndpointStats)) {
         let mut endpoints = self.endpoints.lock().expect("metrics lock");
-        let idx = match endpoints.iter().position(|(name, _)| name == endpoint) {
+        let idx = match endpoints.iter().position(|(name, _)| *name == endpoint) {
             Some(i) => i,
             None => {
-                endpoints.push((endpoint.to_string(), EndpointStats::default()));
+                endpoints.push((endpoint, EndpointStats::default()));
                 endpoints.len() - 1
             }
         };
@@ -80,7 +82,7 @@ impl ServerMetrics {
 
     /// Records a success with its service latency and the cache counts
     /// its batch contributed.
-    pub fn record_ok(&self, endpoint: &str, latency: Duration, hits: u64, misses: u64) {
+    pub fn record_ok(&self, endpoint: &'static str, latency: Duration, hits: u64, misses: u64) {
         self.with_entry(endpoint, |s| {
             s.requests += 1;
             s.ok += 1;
@@ -93,7 +95,7 @@ impl ServerMetrics {
     /// Records a success delivered by single-flight attachment: the
     /// follower observed the leader's artifact, so it counts a cache
     /// hit and a `collapsed` on top of the usual success accounting.
-    pub fn record_collapsed_ok(&self, endpoint: &str, latency: Duration) {
+    pub fn record_collapsed_ok(&self, endpoint: &'static str, latency: Duration) {
         self.with_entry(endpoint, |s| {
             s.requests += 1;
             s.ok += 1;
@@ -104,7 +106,7 @@ impl ServerMetrics {
     }
 
     /// Records a failure under its error class.
-    pub fn record_error(&self, endpoint: &str, code: ErrorCode) {
+    pub fn record_error(&self, endpoint: &'static str, code: ErrorCode) {
         self.with_entry(endpoint, |s| {
             s.requests += 1;
             match code {
@@ -130,7 +132,7 @@ impl ServerMetrics {
     pub fn to_json(&self, queue_depth: usize) -> Json {
         let endpoints = self.endpoints.lock().expect("metrics lock");
         let per_endpoint: Vec<(String, Json)> =
-            endpoints.iter().map(|(name, stats)| (name.clone(), stats.to_json())).collect();
+            endpoints.iter().map(|(name, stats)| (name.to_string(), stats.to_json())).collect();
         drop(endpoints);
         let overall = self.merged_latency();
         let us = |d: Duration| Json::Num((d.as_nanos() as f64) / 1e3);

@@ -1,14 +1,14 @@
 //! `implant-store`: the shared, content-addressed artifact tier.
 //!
 //! Every replica's [`runtime::ResultCache`] is private; this crate is
-//! the tier underneath that they all share. It generalizes the
-//! `IMPLANT_CACHE_DIR` on-disk JSON format: keys are the existing FNV
-//! cache identities (byte-identical to the server's `route_point()`
-//! keys, so a routing layer can address artifacts without holding a
-//! cache), values are written **atomically** (unique temp file +
-//! rename) by the owning replica, and each replica maintains a
-//! manifest so any member can enumerate another's warm keys without
-//! scanning the object directory.
+//! the tier underneath that they all share, and the only on-disk form a
+//! cache has (the sweep harnesses open one under `IMPLANT_CACHE_DIR` as
+//! replica `harness`). Keys are the FNV cache identities
+//! (byte-identical to the server's `route_point()` keys, so a routing
+//! layer can address artifacts without holding a cache), values are
+//! written **atomically** (unique temp file + rename) by the owning
+//! replica, and each replica maintains a manifest so any member can
+//! enumerate another's warm keys without scanning the object directory.
 //!
 //! Disk layout under the store root:
 //!
@@ -17,15 +17,13 @@
 //! manifests/<replica>.json     {"replica": .., "entries": [{key, namespace, bytes}, ..]}
 //! ```
 //!
-//! The object format is byte-compatible with `ResultCache::with_dir`
-//! artifacts, which is what makes the store a drop-in second tier: the
-//! cache's `ArtifactTier` hook points here, reads that fail to parse
-//! count `store.corrupt` and fall back to recompute, and the two
-//! cluster protocols built on top — catch-up ([`catchup`]) and hedged
-//! reads (`cluster::ClusterClient`) — only ever see complete
-//! artifacts because of the rename barrier.
+//! The cache's `ArtifactTier` hook points here: objects that fail to
+//! parse (here) or to decode (in the cache) count `store.corrupt` and
+//! fall back to recompute, and the two cluster protocols built on top —
+//! catch-up ([`catchup`]) and hedged reads (`cluster::ClusterClient`) —
+//! only ever see complete artifacts because of the rename barrier.
 
-use runtime::{atomic_write, ArtifactTier, Json};
+use runtime::{ArtifactTier, Json};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -296,34 +294,18 @@ impl Store {
         // concurrent `put` cannot resurrect a pruned entry in memory.
         {
             let mut manifest = self.manifest.lock().expect("manifest lock");
-            let mut changed = false;
-            for key in &report.expired {
-                changed |= manifest.remove(*key);
-            }
-            if changed
-                && atomic_write(&self.manifest_path(), manifest.to_json().to_string().as_bytes())
-                    .is_ok()
-            {
-                report.manifests_rewritten += 1;
-            }
+            report.manifests_rewritten +=
+                u64::from(prune(&mut manifest, &self.manifest_path(), &report.expired));
         }
         // Then every peer manifest that still indexes a pruned key.
         if let Ok(entries) = std::fs::read_dir(self.root.join("manifests")) {
-            for entry in entries.filter_map(|e| e.ok()) {
-                let path = entry.path();
+            for path in entries.filter_map(|e| Some(e.ok()?.path())) {
                 if path == self.manifest_path() {
                     continue;
                 }
                 let Some(mut manifest) = Manifest::load(&path) else { continue };
-                let mut changed = false;
-                for key in &report.expired {
-                    changed |= manifest.remove(*key);
-                }
-                if changed
-                    && atomic_write(&path, manifest.to_json().to_string().as_bytes()).is_ok()
-                {
-                    report.manifests_rewritten += 1;
-                }
+                report.manifests_rewritten +=
+                    u64::from(prune(&mut manifest, &path, &report.expired));
             }
         }
         Ok(report)
@@ -336,6 +318,40 @@ impl Store {
             reads: self.reads.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Drops `keys` from `manifest` and, when that changed it, rewrites it
+/// at `path`; true when the rewrite happened.
+fn prune(manifest: &mut Manifest, path: &Path, keys: &[u64]) -> bool {
+    let mut changed = false;
+    for &key in keys {
+        changed |= manifest.remove(key);
+    }
+    changed && atomic_write(path, manifest.to_json().to_string().as_bytes()).is_ok()
+}
+
+/// Atomically replaces `path` with `bytes`: write to a unique temp file
+/// in the same directory, then `rename` over the target. A concurrent
+/// reader sees either the old complete file or the new one — never a
+/// torn half-write — and racing writers of the same content-addressed
+/// key both leave a complete file behind (last rename wins).
+fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let parent = path.parent().unwrap_or_else(|| Path::new("."));
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("artifact");
+    let tmp = parent.join(format!(
+        ".{name}.tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed),
+    ));
+    std::fs::write(&tmp, bytes)?;
+    match std::fs::rename(&tmp, path) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
         }
     }
 }
@@ -389,21 +405,22 @@ mod tests {
     }
 
     #[test]
-    fn objects_are_byte_compatible_with_result_cache_artifacts() {
-        use runtime::{cache_key, ParamPoint, ResultCache};
-        let root = scratch("compat");
-        let store = Store::open(&root, "r0").unwrap();
-        let point = ParamPoint::new().with("trials", 40u64).with("seed", 9u64);
-        store.put(
-            cache_key("ns", &point),
-            "ns",
-            &point.canonical(),
-            &Json::Num(0.125),
-        );
-        // A plain disk cache pointed at objects/ must read the value.
-        let cache: ResultCache<f64> = ResultCache::with_dir(root.join("objects"));
-        assert_eq!(cache.get("ns", &point), Some(0.125));
-        let _ = std::fs::remove_dir_all(&root);
+    fn atomic_write_replaces_whole_files() {
+        let dir = scratch("atomic");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.json");
+        atomic_write(&path, b"first").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "first");
+        atomic_write(&path, b"second, longer than first").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second, longer than first");
+        // No temp files may linger after a successful replace.
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files must not linger: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
